@@ -71,16 +71,16 @@ def main() -> None:
     with pipeline.serve(index=index_dir) as service:
         show(
             "netlist cones implementing the probe's FSM register RTL:",
-            service.query_rtl(probe_rtl, to_kind=CONE_KIND, k=3),
+            service.query(probe_rtl, RTL_KIND, to_kind=CONE_KIND, k=3),
         )
         sample = items[0]
         show(
             f"RTL matching the layout of {sample.key}:",
-            service.query_layout(sample.layout, to_kind=RTL_KIND, k=3),
+            service.query(sample.layout, LAYOUT_KIND, to_kind=RTL_KIND, k=3),
         )
         show(
             f"layout regions matching the cone {sample.key}:",
-            service.query_modal(sample.cone, CONE_KIND, to_kind=LAYOUT_KIND, k=3),
+            service.query(sample.cone, CONE_KIND, to_kind=LAYOUT_KIND, k=3),
         )
 
     # ------------------------------------------------------------------

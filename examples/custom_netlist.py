@@ -23,6 +23,7 @@ from repro.analysis import analyze_area, analyze_power, analyze_timing
 from repro.core import NetTAGConfig, NetTAGPipeline
 from repro.netlist import extract_register_cones, netlist_to_tag, read_verilog, write_verilog
 from repro.physical import extract_parasitics, place
+from repro.serve import cone_key
 
 # A tiny sequential design: a 2-bit accumulator with an overflow comparator.
 CUSTOM_VERILOG = """
@@ -104,8 +105,8 @@ def main() -> None:
     pipeline.build_index(index_dir)
     with pipeline.serve(index=index_dir) as service:
         service.add_netlists([netlist])
-        hits = service.query_cone(cones[0], k=3, exclude_self=True,
-                                  netlist_name=netlist.name)
+        own_key = cone_key(netlist.name, cones[0].register_name)
+        hits = service.query(cones[0], "cone", k=3, exclude_keys=[own_key])
         print(f"\nnearest indexed cones to {netlist.name}::{cones[0].register_name}:")
         for hit in hits:
             print(f"  {hit.score:+.4f}  {hit.key}")

@@ -92,7 +92,7 @@ def main() -> None:
     index_dir = Path(tempfile.mkdtemp(prefix="nettag-quickstart-")) / "index"
     index = pipeline.build_index(index_dir)      # cached pipeline stage
     with pipeline.serve(index=index_dir) as service:
-        hits = service.query_netlist(controller, k=3)
+        hits = service.query(controller, "circuit", to_kind="circuit", k=3)
         print(f"\nindexed {len(index)} embeddings; top-3 circuits for "
               f"{controller.name}:")
         for hit in hits:

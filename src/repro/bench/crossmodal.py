@@ -273,7 +273,7 @@ def run_crossmodal_bench(
             with ThreadPoolExecutor(max_workers=num_threads) as pool:
                 concurrent_hits = list(
                     pool.map(
-                        lambda request: service.query_modal(
+                        lambda request: service.query(
                             request[1], request[0], to_kind=CONE_KIND, k=k
                         ),
                         requests,

@@ -187,7 +187,7 @@ def run_index_bench(
             start = time.perf_counter()
             with ThreadPoolExecutor(max_workers=num_threads) as pool:
                 concurrent_hits = list(
-                    pool.map(lambda cone: service.query_cone(cone, k=k), query_cones)
+                    pool.map(lambda cone: service.query(cone, "cone", k=k), query_cones)
                 )
             concurrent_seconds = time.perf_counter() - start
             scheduler_stats = service.stats()["scheduler"]

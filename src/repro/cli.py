@@ -158,9 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "modality for circuit/cone, cone for rtl/layout)")
     query.add_argument("--cones", action="store_true",
                        help="shorthand for --from cone --to cone")
-    query.add_argument("--approx", action="store_true",
-                       help="shorthand for --searcher ivf")
-    query.add_argument("--searcher", default=None, choices=("exact", "ivf", "hnsw"),
+    query.add_argument("--searcher", default="exact", choices=("exact", "ivf", "hnsw"),
                        help="retrieval algorithm: exact brute-force scan (default), "
                             "IVF cells, or an HNSW proximity graph")
 
@@ -596,16 +594,15 @@ def _run_index_query(args: argparse.Namespace, model) -> int:
                     for cone in cones
                 ]
 
-    algorithm = args.searcher or ("ivf" if args.approx else "exact")
     index = NetTAGService.open_index(model, args.index)
     with NetTAGService(model, index=index, crossmodal=crossmodal) as service:
-        if algorithm != "exact":
-            service.fit_searcher(kind=to_kind, algorithm=algorithm)
-        for label, item in queries:
-            hits = service.query_modal(
-                item, from_kind, to_kind=to_kind, k=args.k,
-                approximate=algorithm != "exact",
-            )
+        futures = [
+            service.submit_query(item, from_kind, to_kind=to_kind, k=args.k,
+                                 algorithm=args.searcher)
+            for _, item in queries
+        ]
+        for (label, _), future in zip(queries, futures):
+            hits = future.result()
             print(f"{label}: top-{args.k} {to_kind} entries (from {from_kind})")
             for hit in hits:
                 print(f"  {hit.score:+.4f}  {hit.key}")

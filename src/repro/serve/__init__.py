@@ -11,9 +11,12 @@
 * :class:`CrossModalEncoder` / :class:`ModalityProjection` — RTL and layout
   modalities projected into the shared index space, so a query in any
   modality retrieves matches in any other (``repro.serve.crossmodal``),
-* :class:`NetTAGService` — the facade combining all of the above, with
-  lock-free reads on generation-pinned :class:`ReadSnapshot` views and
-  zero-downtime index/model hot-swap (``repro.serve.snapshot``),
+* :class:`ReadPath` — pinned :class:`ReadSnapshot` views plus the one
+  content-keyed searcher cache and HNSW sidecar ladder, shared by the
+  service and the replicas (``repro.serve.read_path``),
+* :class:`NetTAGService` — the facade combining all of the above, with one
+  micro-batched query entry point (``submit_query``/``query``), lock-free
+  reads and zero-downtime index/model hot-swap,
 * :class:`AsyncFrontend` — asyncio admission control (bounded per-kind
   queues, reject-with-retry-after backpressure, per-request deadlines,
   graceful drain) in front of one service (``repro.serve.frontend``),
@@ -42,6 +45,7 @@ from .frontend import (
     FrontendClosed,
 )
 from .index import EmbeddingIndex, IndexFormatError
+from .read_path import ReadPath
 from .replica import ReadReplica, ReplicaError, ReplicaPool
 from .scheduler import BatchScheduler, SchedulerClosed
 from .search import (
@@ -58,6 +62,7 @@ from .service import (
     CONE_KIND,
     LAYOUT_KIND,
     RTL_KIND,
+    VECTOR_KIND,
     NetTAGService,
     cone_key,
     encode_index_rows,
@@ -76,6 +81,7 @@ __all__ = [
     "hnsw_sidecar_path",
     "ReadSnapshot",
     "SnapshotManager",
+    "ReadPath",
     "ReadReplica",
     "ReplicaPool",
     "ReplicaError",
@@ -89,6 +95,7 @@ __all__ = [
     "CONE_KIND",
     "RTL_KIND",
     "LAYOUT_KIND",
+    "VECTOR_KIND",
     "MODALITY_KINDS",
     "PROJECTED_KINDS",
     "CrossModalEncoder",

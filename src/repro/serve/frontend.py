@@ -29,6 +29,7 @@ needs no locks of its own; the thread-safe boundary is the service below it.
 from __future__ import annotations
 
 import asyncio
+import functools
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
@@ -79,8 +80,8 @@ class AsyncFrontend:
             hits = await frontend.query_cone(cone, k=5, deadline=0.5)
 
     The frontend classifies every request into one of three kinds —
-    ``encode`` (cone/netlist embedding), ``query`` (retrieval, batched or
-    direct) and ``ingest`` (index mutation, run on the frontend's worker
+    ``encode`` (cone/netlist embedding), ``query`` (retrieval, micro-batched)
+    and ``ingest`` (index mutation, run on the frontend's worker
     threads) — and each kind admits at most ``limits[kind]`` requests at a
     time.  The frontend does not own the service: closing the frontend
     drains *its* requests but leaves the service running for other callers.
@@ -118,8 +119,9 @@ class AsyncFrontend:
         self._closed = False
         self._idle = asyncio.Event()
         self._idle.set()
-        # Ingest (and direct query_embedding) calls block on the service's
-        # write lock / snapshot pin, so they run off-loop on these workers.
+        # Ingest calls block on the service's write lock (and approximate
+        # query submissions on a searcher fit), so they run off-loop on
+        # these workers.
         self._executor = ThreadPoolExecutor(
             max_workers=max(2, self.limits["ingest"]),
             thread_name_prefix="nettag-frontend",
@@ -202,6 +204,31 @@ class AsyncFrontend:
     # ------------------------------------------------------------------
     # Query requests
     # ------------------------------------------------------------------
+    async def query(
+        self,
+        item: object,
+        from_kind: str,
+        to_kind: Optional[str] = CONE_KIND,
+        k: int = 10,
+        exclude_keys: Optional[Sequence[str]] = None,
+        algorithm: str = "exact",
+        deadline: Optional[float] = None,
+    ) -> List[SearchHit]:
+        """Retrieve top-k through the micro-batch (see :meth:`NetTAGService.submit_query`).
+
+        An approximate submission may first fit its searcher, so it runs on
+        a frontend worker instead of the event loop.
+        """
+        query = functools.partial(
+            self.service.submit_query, item, from_kind, to_kind=to_kind, k=k,
+            exclude_keys=exclude_keys, algorithm=algorithm,
+        )
+        if algorithm != "exact":
+            future = self._submit("query", lambda: self._executor.submit(lambda: query().result()))
+        else:
+            future = self._submit("query", query)
+        return await self._resolve("query", future, deadline)
+
     async def query_cone(
         self,
         cone: "RegisterCone",
@@ -209,53 +236,8 @@ class AsyncFrontend:
         exclude_keys: Optional[Sequence[str]] = None,
         deadline: Optional[float] = None,
     ) -> List[SearchHit]:
-        """Encode a cone and retrieve top-k, sharing the flush's batched search."""
-        future = self._submit(
-            "query",
-            lambda: self.service.submit_query_cone(cone, k=k, exclude_keys=exclude_keys),
-        )
-        return await self._resolve("query", future, deadline)
-
-    async def query_modal(
-        self,
-        item: object,
-        from_kind: str,
-        to_kind: str = CONE_KIND,
-        k: int = 10,
-        exclude_keys: Optional[Sequence[str]] = None,
-        deadline: Optional[float] = None,
-    ) -> List[SearchHit]:
-        """Cross-modal retrieval (see :meth:`NetTAGService.submit_query_modal`)."""
-        future = self._submit(
-            "query",
-            lambda: self.service.submit_query_modal(
-                item, from_kind, to_kind=to_kind, k=k, exclude_keys=exclude_keys
-            ),
-        )
-        return await self._resolve("query", future, deadline)
-
-    async def query_embedding(
-        self,
-        vector: np.ndarray,
-        k: int = 10,
-        kind: Optional[str] = None,
-        exclude_keys: Optional[Sequence[str]] = None,
-        approximate: bool = False,
-        deadline: Optional[float] = None,
-    ) -> List[SearchHit]:
-        """Search with a pre-computed vector (runs on a frontend worker)."""
-        future = self._submit(
-            "query",
-            lambda: self._executor.submit(
-                self.service.query_embedding,
-                vector,
-                k=k,
-                kind=kind,
-                exclude_keys=exclude_keys,
-                approximate=approximate,
-            ),
-        )
-        return await self._resolve("query", future, deadline)
+        """Cone-to-cone :meth:`query`."""
+        return await self.query(cone, CONE_KIND, k=k, exclude_keys=exclude_keys, deadline=deadline)
 
     # ------------------------------------------------------------------
     # Ingest requests (frontend worker threads; serialised by the service)

@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+import uuid
 import warnings
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
@@ -149,6 +150,7 @@ class EmbeddingIndex:
         _shards: Optional[List[_Shard]] = None,
         _tombstones: Optional[Sequence[str]] = None,
         _generation: int = 0,
+        _index_id: Optional[str] = None,
     ) -> None:
         if dim < 1:
             raise ValueError("embedding dimension must be positive")
@@ -172,6 +174,9 @@ class EmbeddingIndex:
         # readers — :class:`repro.serve.replica.ReadReplica` — see a counter
         # that survives the writer saving, exiting and reopening.
         self._generation = int(_generation)
+        # Random id from ``create`` (None for manifests that predate it): a
+        # rebuild in place with the same shard layout still fingerprints anew.
+        self._index_id = _index_id
         self._search_cache: Optional[
             Tuple[int, List, Dict[Tuple[str, str], Tuple[int, int]]]
         ] = None
@@ -223,7 +228,8 @@ class EmbeddingIndex:
                 shard.payload_path.unlink(missing_ok=True)
                 shard.meta_path.unlink(missing_ok=True)
             manifest.unlink()
-        index = cls(directory, dim, shard_size=shard_size, metric=metric, fingerprints=fingerprints)
+        index = cls(directory, dim, shard_size=shard_size, metric=metric,
+                    fingerprints=fingerprints, _index_id=uuid.uuid4().hex)
         index._write_manifest()
         return index
 
@@ -276,6 +282,7 @@ class EmbeddingIndex:
             _shards=shards,
             _tombstones=manifest.get("tombstones", []),
             _generation=int(manifest.get("generation", 0)),
+            _index_id=manifest.get("index_id"),
         )
 
     # ------------------------------------------------------------------
@@ -435,6 +442,7 @@ class EmbeddingIndex:
             "shard_size": self.shard_size,
             "fingerprints": self.fingerprints,
             "generation": self._generation,
+            "index_id": self._index_id,
             "shards": [{"name": s.name, "count": s.count} for s in self._shards],
             "tombstones": [
                 list(entry)
@@ -556,17 +564,20 @@ class EmbeddingIndex:
     def content_fingerprint(self) -> str:
         """SHA-256 over the index's logical content (layout, not bytes).
 
-        Covers the sealed-shard layout (names + row counts — shards are
-        immutable, so that identifies their content), the tombstone set, the
-        buffered tail (keys, kinds and vector bytes) and the dimension.  Two
-        opens of the same on-disk state agree, any mutation changes it —
-        this is what lets a persisted HNSW graph (:meth:`HNSWSearcher.save
-        <repro.serve.search.HNSWSearcher.save>`) prove in another process
-        that it was fitted on exactly this content, where the generation
-        counter alone could collide across rebuilds.
+        Covers the index id ``create`` stamps (so a rebuild in place with the
+        same layout differs), the sealed-shard layout (names + row counts —
+        shards are immutable, so that identifies their content), the
+        tombstone set, the buffered tail (keys, kinds and vector bytes) and
+        the dimension.  Two opens of the same on-disk state agree, any
+        mutation changes it — this is what lets a persisted HNSW graph
+        (:meth:`HNSWSearcher.save <repro.serve.search.HNSWSearcher.save>`)
+        prove in another process that it was fitted on exactly this content,
+        where the generation counter alone could collide across rebuilds.
         """
         digest = hashlib.sha256()
         digest.update(f"dim={self.dim}".encode())
+        if self._index_id is not None:
+            digest.update(f"|id:{self._index_id}".encode())
         for shard in self._shards:
             digest.update(f"|s:{shard.name}:{shard.count}".encode())
         for key, kind in sorted(self._tombstones, key=lambda e: (e[0], e[1] or "")):
@@ -641,6 +652,7 @@ class EmbeddingIndex:
             metadata=metadata,
             live_map=self.live_row_map(),
             content_fingerprint=self.content_fingerprint(),
+            directory=self.directory,
         )
 
     # ------------------------------------------------------------------

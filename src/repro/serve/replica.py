@@ -20,13 +20,11 @@ shape a corpus-scale deployment runs:
   unlinked payload another process has mapped stays readable until the last
   reference drops, so replica retirement is reference-dropping, never file
   surgery.
-* HNSW graphs are **loaded, not refitted**: a replica first tries the
-  persisted sidecar (:func:`~repro.serve.search.hnsw_sidecar_path`, written
-  by ``serve index fit-hnsw`` or :meth:`HNSWSearcher.save
-  <repro.serve.search.HNSWSearcher.save>`), proves freshness against the
-  index's ``content_fingerprint()`` via :meth:`HNSWSearcher.attach
-  <repro.serve.search.HNSWSearcher.attach>`, and only falls back to
-  ``sync()``/``fit()`` when the sidecar is stale or missing.
+* Searches go through the same :class:`~repro.serve.read_path.ReadPath` the
+  in-process service uses, so HNSW graphs are **loaded, not refitted**: the
+  persisted sidecar (written by ``serve index fit-hnsw``) is attached when
+  its content fingerprint matches, synced when stale, and a graph is fitted
+  only when no sidecar exists.
 * :class:`ReplicaPool` spawns N replica worker **processes** (spawn context —
   safe under any start method policy) each holding its own mmaps and
   watcher, and round-robins queries across them over pipes.
@@ -48,14 +46,8 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .index import MANIFEST_NAME, EmbeddingIndex, IndexFormatError
-from .search import (
-    HNSWSearcher,
-    IVFSearcher,
-    SearchHit,
-    exact_topk,
-    hnsw_sidecar_path,
-)
-from .snapshot import ReadSnapshot, SnapshotManager
+from .read_path import ReadPath
+from .search import SearchHit
 
 PathLike = Union[str, Path]
 
@@ -77,9 +69,9 @@ class ReadReplica:
     :meth:`check_for_update` is the same poll step for callers that want
     explicit control (tests, single-threaded drivers).
 
-    ``hnsw_params`` / ``ivf_params`` seed the tuning of searchers this
-    replica has to build itself (no sidecar, or a brand-new namespace);
-    a loaded sidecar always carries its own tuning.
+    ``hnsw_params`` / ``ivf_params`` are the tuning of searchers this
+    replica has to build with no earlier tuning to inherit; a loaded
+    sidecar always carries its own tuning.
     """
 
     def __init__(
@@ -96,34 +88,21 @@ class ReadReplica:
         self.directory = Path(directory)
         self.poll_interval = float(poll_interval)
         self._expected = dict(expected_fingerprints or {}) or None
-        self._hnsw_params = dict(hnsw_params or {})
-        self._ivf_params = dict(ivf_params or {})
         self._open_retries = max(1, int(open_retries))
         self._retry_delay = float(retry_delay)
         self._reopen_lock = threading.Lock()
-        self._searcher_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self._counters: Dict[str, int] = {
             "poll_checks": 0,
             "reopens": 0,
             "snapshots_retired": 0,
             "watch_errors": 0,
-            "hnsw_loaded": 0,
-            "hnsw_synced": 0,
-            "hnsw_refits": 0,
-            "hnsw_sidecar_rejected": 0,
-            "ivf_refits": 0,
         }
-        # (algorithm, kind) -> (fitted searcher, index content fingerprint at
-        # fit time).  The fingerprint — not just the generation — gates reuse,
-        # so a rebuilt index that coincidentally lands on the same generation
-        # number can never be served with the old corpus's structure.
-        self._searchers: Dict[
-            Tuple[str, Optional[str]], Tuple[Any, Optional[str]]
-        ] = {}
         self._index: Optional[EmbeddingIndex] = None
         self._token: Optional[_ManifestToken] = None
-        self._snapshots = SnapshotManager(self._build_snapshot)
+        self.read_path = ReadPath(
+            self._open_index, ivf_params=ivf_params, hnsw_params=hnsw_params
+        )
         self._closed = False
         self._watcher: Optional[threading.Thread] = None
         self._stop_event = threading.Event()
@@ -148,11 +127,11 @@ class ReadReplica:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         return (stat.st_mtime_ns, stat.st_size, digest)
 
-    def _build_snapshot(self) -> ReadSnapshot:
+    def _open_index(self) -> EmbeddingIndex:
         index = self._index
         if index is None:
             raise ReplicaError(f"replica over {self.directory} is not open")
-        return index.snapshot()
+        return index
 
     def _reopen_locked(self, initial: bool = False) -> None:
         """Open the manifest's current generation; retries bridge the window
@@ -175,7 +154,7 @@ class ReadReplica:
                 continue
             self._index = index
             self._token = token
-            self._snapshots.refresh(retire=None if initial else self._on_retire)
+            self.read_path.snapshots.refresh(retire=None if initial else self._on_retire)
             if not initial:
                 with self._stats_lock:
                     self._counters["reopens"] += 1
@@ -242,77 +221,6 @@ class ReadReplica:
     # ------------------------------------------------------------------
     # Query path
     # ------------------------------------------------------------------
-    def _hnsw_for(
-        self, snapshot: ReadSnapshot, kind: Optional[str], template: Optional[HNSWSearcher]
-    ) -> HNSWSearcher:
-        """Load-don't-refit: sidecar → attach; stale sidecar → sync; else fit."""
-        path = hnsw_sidecar_path(self.directory, kind)
-        loaded: Optional[HNSWSearcher] = None
-        if path.exists():
-            try:
-                candidate = HNSWSearcher.load(path)
-            except IndexFormatError:
-                with self._stats_lock:
-                    self._counters["hnsw_sidecar_rejected"] += 1
-            else:
-                if candidate.kind == kind:
-                    loaded = candidate
-        if loaded is not None:
-            if loaded.attach(snapshot):
-                with self._stats_lock:
-                    self._counters["hnsw_loaded"] += 1
-                return loaded
-            # Stale but structurally reusable: sync absorbs pure appends
-            # incrementally and falls back to a full rebuild internally.
-            loaded.sync(snapshot)
-            with self._stats_lock:
-                self._counters["hnsw_synced"] += 1
-            return loaded
-        fresh = (
-            template.clone_params(kind=kind)
-            if template is not None
-            else HNSWSearcher(kind=kind, **self._hnsw_params)
-        )
-        fresh.fit(snapshot)
-        with self._stats_lock:
-            self._counters["hnsw_refits"] += 1
-        return fresh
-
-    def _searcher_for(
-        self, snapshot: ReadSnapshot, algorithm: str, kind: Optional[str]
-    ) -> Any:
-        cache_key = (algorithm, kind)
-        fingerprint = snapshot.content_fingerprint()
-        with self._searcher_lock:
-            entry = self._searchers.get(cache_key)
-        template = entry[0] if entry is not None else None
-        if entry is not None:
-            searcher, fitted_fingerprint = entry
-            if (
-                searcher.is_fitted
-                and not searcher.needs_refit(snapshot)
-                and fitted_fingerprint == fingerprint
-            ):
-                return searcher
-        if algorithm == "hnsw":
-            searcher = self._hnsw_for(snapshot, kind, template)
-        elif algorithm == "ivf":
-            searcher = (
-                template.clone_params(kind=kind)
-                if isinstance(template, IVFSearcher)
-                else IVFSearcher(kind=kind, **self._ivf_params)
-            )
-            searcher.fit(snapshot)
-            with self._stats_lock:
-                self._counters["ivf_refits"] += 1
-        else:
-            raise ValueError(
-                f"unknown algorithm {algorithm!r}; choose 'exact', 'ivf' or 'hnsw'"
-            )
-        with self._searcher_lock:
-            self._searchers[cache_key] = (searcher, fingerprint)
-        return searcher
-
     def query(
         self,
         queries: np.ndarray,
@@ -320,27 +228,18 @@ class ReadReplica:
         kind: Optional[str] = None,
         algorithm: str = "exact",
         exclude_keys: Optional[Sequence[str]] = None,
-        ef: Optional[int] = None,
-        nprobe: Optional[int] = None,
     ) -> List[List[SearchHit]]:
         """Top-k per query row on a pinned snapshot (one consistent generation).
 
-        ``algorithm`` is ``"exact"`` (default), ``"ivf"`` or ``"hnsw"``; the
-        approximate paths keep one fitted searcher per ``(algorithm, kind)``
-        and revalidate it per query against the pinned snapshot's generation
-        *and* content fingerprint.
+        ``algorithm`` is ``"exact"`` (default), ``"ivf"`` or ``"hnsw"``; see
+        :meth:`ReadPath.search <repro.serve.read_path.ReadPath.search>`.
         """
         if self._closed:
             raise ReplicaError("query on a closed ReadReplica")
-        with self._snapshots.pin() as snapshot:
-            if algorithm == "exact":
-                return exact_topk(
-                    snapshot, queries, k=k, kind=kind, exclude_keys=exclude_keys
-                )
-            searcher = self._searcher_for(snapshot, algorithm, kind)
-            if algorithm == "hnsw":
-                return searcher.search(queries, k=k, ef=ef, exclude_keys=exclude_keys)
-            return searcher.search(queries, k=k, nprobe=nprobe, exclude_keys=exclude_keys)
+        with self.read_path.snapshots.pin() as snapshot:
+            return self.read_path.search(
+                snapshot, queries, k=k, kind=kind, algorithm=algorithm, exclude_keys=exclude_keys
+            )
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle
@@ -348,10 +247,7 @@ class ReadReplica:
     @property
     def generation(self) -> int:
         """The manifest generation this replica currently serves."""
-        index = self._index
-        if index is None:
-            raise ReplicaError(f"replica over {self.directory} is not open")
-        return index.generation
+        return self._open_index().generation
 
     def stats(self) -> Dict[str, object]:
         """Watcher / re-open / searcher counters plus snapshot stats."""
@@ -362,8 +258,9 @@ class ReadReplica:
             "generation": self._index.generation if self._index is not None else None,
             "watching": self._watcher is not None and self._watcher.is_alive(),
             "poll_interval": self.poll_interval,
-            "snapshots": self._snapshots.stats(),
+            "snapshots": self.read_path.snapshots.stats(),
             **counters,
+            **self.read_path.stats(),
         }
 
     def close(self) -> None:
@@ -374,7 +271,7 @@ class ReadReplica:
         if watcher is not None:
             watcher.join(timeout=10)
             self._watcher = None
-        self._snapshots.shutdown()
+        self.read_path.snapshots.shutdown()
 
     def __enter__(self) -> "ReadReplica":
         return self
@@ -532,8 +429,6 @@ class ReplicaPool:
         kind: Optional[str] = None,
         algorithm: str = "exact",
         exclude_keys: Optional[Sequence[str]] = None,
-        ef: Optional[int] = None,
-        nprobe: Optional[int] = None,
         replica: Optional[int] = None,
     ) -> List[List[SearchHit]]:
         """Round-robin a query batch to one worker; same contract as
@@ -549,8 +444,6 @@ class ReplicaPool:
             "kind": kind,
             "algorithm": algorithm,
             "exclude_keys": list(exclude_keys) if exclude_keys else None,
-            "ef": ef,
-            "nprobe": nprobe,
         }
         return self._call(slot, "query", payload)
 

@@ -31,7 +31,8 @@ class BatchScheduler:
     """Coalesces concurrent single-item requests into batched calls.
 
     ``batch_fn`` receives a list of items and must return one result per item,
-    in order.  If it raises, every request in that batch receives the
+    in order.  A result that is an exception instance fails just that
+    request; if ``batch_fn`` raises, every request in that batch receives the
     exception (later batches are unaffected).
     """
 
@@ -60,7 +61,6 @@ class BatchScheduler:
         self._batches = 0
         self._full_flushes = 0
         self._deadline_flushes = 0
-        self._batched_items = 0
         self._worker = threading.Thread(target=self._run, name=name, daemon=True)
         self._worker.start()
 
@@ -166,13 +166,17 @@ class BatchScheduler:
                         if not future.cancelled():
                             self._deliver(future, error=error)
                     continue
+                failures = sum(isinstance(result, BaseException) for result in results)
                 with self._lock:
                     self._batches += 1
-                    self._completed += len(batch)
-                    self._batched_items += len(batch)
+                    self._completed += len(batch) - failures
+                    self._failed += failures
                 for (_, future, _), result in zip(batch, results):
                     if not future.cancelled():
-                        self._deliver(future, result)
+                        if isinstance(result, BaseException):
+                            self._deliver(future, error=result)
+                        else:
+                            self._deliver(future, result)
         finally:
             # Whatever takes the worker down (normally only a drained close,
             # but _deliver re-raises unexpected delivery failures), nothing

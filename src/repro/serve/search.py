@@ -33,7 +33,7 @@ import heapq
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -60,10 +60,23 @@ def hnsw_sidecar_path(directory: PathLike, kind: Optional[str] = None) -> Path:
     return Path(directory) / f"hnsw-{suffix}.graph.npz"
 
 
-def _content_fingerprint_of(index) -> Optional[str]:
-    """``index.content_fingerprint()`` when the read surface offers one."""
-    probe = getattr(index, "content_fingerprint", None)
-    return probe() if callable(probe) else None
+def live_blocks(
+    index, kind: Optional[str] = None
+) -> Iterator[Tuple[List[str], List[str], np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield ``(keys, kinds, rows, vectors, norms)`` per segment with live rows.
+
+    ``rows`` are the segment's live row ids (of ``kind`` when set: latest
+    row per key, tombstones excluded), ``vectors`` their float64 payload
+    rows and ``norms`` their stored norms — the shared walk of every
+    searcher fit and the near-duplicate scan.
+    """
+    for (keys, kinds, matrix, norms), (_, kinds_array, rows) in zip(
+        index.iter_segments(), index.search_metadata()
+    ):
+        if kind is not None and len(rows):
+            rows = rows[kinds_array[rows] == kind]
+        if len(rows):
+            yield keys, kinds, rows, np.asarray(matrix[rows], dtype=np.float64), norms[rows]
 
 
 @dataclass
@@ -223,18 +236,8 @@ class IVFSearcher:
         keys: List[str] = []
         kinds: List[str] = []
         rows: List[np.ndarray] = []
-        for (keys_s, kinds_s, matrix, norms), (_, kinds_array, live_rows) in zip(
-            index.iter_segments(), index.search_metadata()
-        ):
-            selected = live_rows
-            if self.kind is not None and len(selected):
-                selected = selected[kinds_array[selected] == self.kind]
-            if not len(selected):
-                continue
-            block = (
-                np.asarray(matrix[selected], dtype=np.float64)
-                / norms[selected][:, None]
-            )
+        for keys_s, kinds_s, selected, block, norms in live_blocks(index, self.kind):
+            block = block / norms[:, None]
             for offset, row in enumerate(selected):
                 keys.append(keys_s[int(row)])
                 kinds.append(kinds_s[int(row)])
@@ -583,7 +586,7 @@ class HNSWSearcher:
         no fingerprint or the contents moved; callers then fall back to
         :meth:`sync` or :meth:`fit`.
         """
-        fingerprint = _content_fingerprint_of(index)
+        fingerprint = index.content_fingerprint()
         if fingerprint is None or self._fitted_fingerprint != fingerprint:
             return False
         self._fitted_generation = int(index.generation)
@@ -795,63 +798,60 @@ class HNSWSearcher:
         pinned read snapshot.
         """
         self._reset()
-        for (keys_s, kinds_s, matrix, norms), (_, kinds_array, live_rows) in zip(
-            index.iter_segments(), index.search_metadata()
-        ):
-            selected = live_rows
-            if self.kind is not None and len(selected):
-                selected = selected[kinds_array[selected] == self.kind]
-            if not len(selected):
-                continue
-            block = np.asarray(matrix[selected], dtype=np.float64)
+        for keys_s, kinds_s, selected, block, _ in live_blocks(index, self.kind):
             for offset, row in enumerate(selected):
                 row = int(row)
                 self.insert(keys_s[row], block[offset], kind=kinds_s[row])
         if not self._count:
             raise ValueError("cannot fit an HNSW searcher on an empty index")
         self._fitted_generation = index.generation
-        self._fitted_fingerprint = _content_fingerprint_of(index)
+        self._fitted_fingerprint = index.content_fingerprint()
         return self
 
     def sync(self, index: EmbeddingIndex) -> int:
         """Incrementally absorb rows added since the last fit, if possible.
 
         Pure appends (new ``(key, kind)`` rows only) are inserted in place
-        and the fitted generation advances; any other mutation (remove,
-        supersede, compact) falls back to a full :meth:`fit`.  Returns the
-        number of rows inserted (or re-inserted by the fallback).
+        and the fitted generation advances; any other mutation (remove, or a
+        known row whose vector changed — a supersede or a rebuild) falls
+        back to a full :meth:`fit`.  A compaction moves rows without
+        changing them, so it costs no rebuild.  Returns the number of rows
+        inserted (or re-inserted by the fallback).
         """
         if not self.is_fitted:
             self.fit(index)
             return self._count
-        if index.generation == self._fitted_generation:
+        # Generation counters collide across rebuilds; content does not.
+        if index.generation == self._fitted_generation and index.content_fingerprint() in (
+            None, self._fitted_fingerprint
+        ):
             return 0
-        known = set(zip(self._keys, self._kinds))
+        nodes = {pair: node for node, pair in enumerate(zip(self._keys, self._kinds))}
         fresh: List[Tuple[str, str, np.ndarray]] = []
         live_total = 0
-        for (keys_s, kinds_s, matrix, _), (_, kinds_array, live_rows) in zip(
-            index.iter_segments(), index.search_metadata()
-        ):
-            selected = live_rows
-            if self.kind is not None and len(selected):
-                selected = selected[kinds_array[selected] == self.kind]
-            if not len(selected):
-                continue
+        moved = False
+        for keys_s, kinds_s, selected, block, _ in live_blocks(index, self.kind):
             live_total += len(selected)
-            block = np.asarray(matrix[selected], dtype=np.float64)
-            for offset, row in enumerate(selected):
-                row = int(row)
-                if (keys_s[row], kinds_s[row]) not in known:
-                    fresh.append((keys_s[row], kinds_s[row], block[offset]))
-        if live_total != self._count + len(fresh):
-            # Rows disappeared or were superseded: incremental insert cannot
-            # retract edges, rebuild instead.
+            found = [nodes.get((keys_s[int(r)], kinds_s[int(r)]), -1) for r in selected]
+            known = [offset for offset, node in enumerate(found) if node >= 0]
+            fresh += [
+                (keys_s[int(r)], kinds_s[int(r)], block[o])
+                for o, (r, node) in enumerate(zip(selected, found)) if node < 0
+            ]
+            unit = block[known]
+            unit /= np.maximum(np.linalg.norm(unit, axis=1), 1e-12)[:, None]
+            moved = moved or not np.allclose(
+                self._vectors[[found[o] for o in known]], unit, rtol=0.0, atol=1e-9
+            )
+        if moved or live_total != self._count + len(fresh):
+            # Rows disappeared or hold new vectors (superseded, rebuilt):
+            # incremental insert cannot retract edges, rebuild instead.
             self.fit(index)
             return self._count
         for key, kind, vector in fresh:
             self.insert(key, vector, kind=kind)
         self._fitted_generation = index.generation
-        self._fitted_fingerprint = _content_fingerprint_of(index)
+        self._fitted_fingerprint = index.content_fingerprint()
         return len(fresh)
 
     # ------------------------------------------------------------------

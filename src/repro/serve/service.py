@@ -2,8 +2,9 @@
 
 One object ties the serving subsystem together: a (pre-trained) NetTAG model
 for encoding, an :class:`EmbeddingIndex` for persistence, a
-:class:`BatchScheduler` so concurrent callers share packed forwards, and an
-optional :class:`IVFSearcher` for approximate retrieval at corpus scale.
+:class:`BatchScheduler` so concurrent callers share packed forwards, and a
+:class:`~repro.serve.read_path.ReadPath` for exact or approximate retrieval
+on pinned snapshots.
 
 Keys follow one convention everywhere (index, CLI, benchmarks):
 
@@ -19,28 +20,19 @@ zero-padded up to it (see :meth:`NetTAG.pad_to_index_dim`).
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from concurrent.futures import Future
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..netlist import extract_register_cones
 from ..nn import use_backend
 from .index import EmbeddingIndex
+from .read_path import ALGORITHMS, AnySearcher, ReadPath
 from .scheduler import BatchScheduler
-from .search import (
-    HNSWSearcher,
-    IVFSearcher,
-    SearchHit,
-    exact_topk,
-    hnsw_sidecar_path,
-)
-from .snapshot import ReadSnapshot, SnapshotManager
-
-# Either approximate searcher; both expose fit/search/needs_refit/
-# clone_params/stats over the same (index | snapshot) read surface.
-AnySearcher = Union[IVFSearcher, HNSWSearcher]
+from .search import SearchHit, exact_topk, live_blocks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a core<->serve cycle
     from ..core.nettag import CircuitEmbedding, NetTAG
@@ -53,6 +45,21 @@ CONE_KIND = "cone"
 # see repro.serve.crossmodal for the projection heads and sidecar format).
 RTL_KIND = "rtl"
 LAYOUT_KIND = "layout"
+INDEX_KINDS = (CONE_KIND, CIRCUIT_KIND, RTL_KIND, LAYOUT_KIND)
+# Query source holding a precomputed index-space vector (nothing to encode).
+VECTOR_KIND = "vector"
+QUERY_SOURCES = (VECTOR_KIND,) + INDEX_KINDS
+
+
+class QuerySpec(NamedTuple):
+    """One retrieval request as it rides the scheduler (``("query", spec)``)."""
+
+    from_kind: str
+    item: object
+    to_kind: Optional[str]
+    k: int
+    exclude_keys: Tuple[str, ...]
+    algorithm: str
 
 
 def cone_key(netlist_name: str, register_name: str) -> str:
@@ -123,33 +130,26 @@ class NetTAGService:
         index: Optional[EmbeddingIndex] = None,
         max_batch_size: int = 32,
         max_latency_ms: float = 10.0,
-        searcher: Optional[AnySearcher] = None,
         crossmodal: Optional["CrossModalEncoder"] = None,
         backend: Optional[str] = None,
     ) -> None:
         self.model = model
         self.index = index
-        self.searcher = searcher
         self.crossmodal = crossmodal
         # Numeric backend for service-side encodes ("reference", "fast", ...).
         # None inherits the process default; a model whose config pins its own
         # backend still wins (its scope nests inside this one).
         self.backend = backend
-        # One fitted approximate searcher per target kind (modality); the
-        # last-fitted one is mirrored on ``self.searcher`` for inspection.
-        self._searchers: Dict[Optional[str], AnySearcher] = (
-            {searcher.kind: searcher} if searcher is not None else {}
-        )
         # Write lock: model forwards + index mutations only.  Reentrant
         # (ingest paths nest encode + add), never held while *waiting* on a
         # scheduler future (deadlock-free: the worker needs it to make
         # progress), and never taken by the search paths — those pin a
-        # ReadSnapshot instead.
+        # ReadSnapshot instead.  Every mutation republishes the read
+        # snapshot under it (the build walks the index's pending buffers).
         self._lock = threading.RLock()
-        self._searcher_lock = threading.Lock()
-        self._snapshots = SnapshotManager(lambda: self._require_index().snapshot())
+        self.read_path = ReadPath(self._require_index)
         self._scheduler = BatchScheduler(
-            self._encode_requests,
+            self._flush,
             max_batch_size=max_batch_size,
             max_latency_ms=max_latency_ms,
             name="nettag-encode",
@@ -196,16 +196,6 @@ class NetTAGService:
             raise RuntimeError("this NetTAGService was constructed without an index")
         return self.index
 
-    def _refresh_snapshot(self, retire=None) -> None:
-        """Publish a new read snapshot; call after every index mutation.
-
-        Must run under the write lock (the snapshot build walks the index's
-        pending buffers).  ``retire`` defers file cleanup to the moment the
-        previous snapshot's last pinned reader releases.
-        """
-        if self.index is not None:
-            self._snapshots.refresh(retire=retire)
-
     def _pin_current(self):
         """Pin a snapshot that reflects the index's current generation.
 
@@ -214,160 +204,88 @@ class NetTAGService:
         mutated *directly* (``service.index.add(...)``), the stale snapshot
         is detected here and rebuilt under the write lock once.
         """
-        index = self._require_index()
-        if self._snapshots.current_generation() != index.generation:
+        snapshots = self.read_path.snapshots
+        if snapshots.current_generation() != self._require_index().generation:
             with self._lock:
                 # Re-check under the lock (the index may have been swapped
                 # or republished while we waited).
-                if self._snapshots.current_generation() != self._require_index().generation:
-                    self._snapshots.refresh()
-        return self._snapshots.pin()
+                if snapshots.current_generation() != self._require_index().generation:
+                    snapshots.refresh()
+        return snapshots.pin()
 
     # ------------------------------------------------------------------
-    # Batched encode worker
+    # Batched worker
     # ------------------------------------------------------------------
-    def _encode_requests(self, items: List[Tuple[str, object]]) -> List[object]:
-        """One scheduler flush: partition by request type, one batched call each.
+    def _flush(self, requests: List[Tuple[str, object]]) -> List[object]:
+        """One flush over ``("encode", (from_kind, item))`` and ``("query", QuerySpec)``.
 
-        ``query_cone`` requests ride the same cone encode pass, and
-        ``query_modal`` requests get one batched modality-encoder pass per
-        source kind in the flush; all queries then share one
-        :func:`exact_topk` call per ``(k, target kind)`` group — the batched
-        query matmul over the index shards — so the per-search bookkeeping
-        cost is paid once per flush, not once per request.
+        Each source kind gets one batched encoder pass under the write lock
+        and the service backend (cone encodes and cone queries share one
+        ``encode_batch``).  The queries then search one pinned snapshot,
+        outside the lock, one search per ``(algorithm, k, to_kind)`` group.
+        A failing search group fails only its own requests.  Approximate
+        searchers are normally fitted before submission (see
+        :meth:`submit_query`); one is refitted here only when the index
+        changed in between.
         """
-        cone_positions = [i for i, (what, _) in enumerate(items) if what == "cone"]
-        query_positions = [i for i, (what, _) in enumerate(items) if what == "query_cone"]
-        netlist_positions = [i for i, (what, _) in enumerate(items) if what == "netlist"]
-        modal_positions = [i for i, (what, _) in enumerate(items) if what == "query_modal"]
-        known = (
-            set(cone_positions)
-            | set(query_positions)
-            | set(netlist_positions)
-            | set(modal_positions)
-        )
-        unknown = set(range(len(items))) - known
-        if unknown:
-            raise ValueError(f"unknown request types: {[items[i][0] for i in sorted(unknown)]}")
-        results: List[object] = [None] * len(items)
-        # (position, index-space vector, k, target kind, exclusions) for every
-        # retrieval request of the flush, whatever modality produced it.
-        specs: List[Tuple[int, np.ndarray, int, Optional[str], Tuple[str, ...]]] = []
-        encode_positions = cone_positions + query_positions
-        with self._lock, use_backend(self.backend):
-            if encode_positions:
-                plain = set(cone_positions)
-                embeddings = self.model.encode_batch(
-                    [
-                        items[i][1] if i in plain else items[i][1][0]
-                        for i in encode_positions
-                    ]
-                )
-                for position, embedding in zip(cone_positions, embeddings):
-                    results[position] = embedding
-                query_embeddings = embeddings[len(cone_positions):]
-                for position, embedding in zip(query_positions, query_embeddings):
-                    _, (_, k, kind, exclude) = items[position]
-                    specs.append(
-                        (
-                            position,
-                            self.model.pad_to_index_dim(embedding),
-                            k,
-                            kind,
-                            tuple(exclude or ()),
-                        )
-                    )
-            if netlist_positions:
-                circuit_embeddings = self.model.encode_netlists(
-                    [items[i][1] for i in netlist_positions]
-                )
-                for position, embedding in zip(netlist_positions, circuit_embeddings):
-                    results[position] = embedding
-            if modal_positions:
-                vectors = self._encode_modal_positions(items, modal_positions)
-                for position in modal_positions:
-                    _, (_, _, k, to_kind, exclude) = items[position]
-                    specs.append(
-                        (position, vectors[position], k, to_kind, tuple(exclude or ()))
-                    )
-        # Retrieval runs *outside* the write lock on a pinned snapshot: a
-        # concurrent bulk ingest cannot stall the flush's searches, and every
-        # search in the flush sees one consistent generation.
-        if specs:
+        results: List[object] = [None] * len(requests)
+        by_source: Dict[str, List[int]] = {}
+        for position, (what, payload) in enumerate(requests):
+            if what not in ("encode", "query"):
+                raise ValueError(f"unknown request type {what!r}")
+            by_source.setdefault(payload[0], []).append(position)  # both start (from_kind, item)
+        vectors = {p: requests[p][1].item for p in by_source.pop(VECTOR_KIND, [])}
+        if by_source:
+            with self._lock, use_backend(self.backend):
+                for from_kind, positions in by_source.items():
+                    encoded = self._encode(from_kind, [requests[p][1][1] for p in positions])
+                    for position, value in zip(positions, encoded):
+                        if requests[position][0] == "encode":
+                            results[position] = value
+                        else:
+                            vector = value.graph_embedding if from_kind == CIRCUIT_KIND else value
+                            vectors[position] = self.model.pad_to_index_dim(vector)
+        groups: Dict[Tuple[str, int, Optional[str]], List[int]] = {}
+        for position in vectors:
+            spec = requests[position][1]
+            groups.setdefault((spec.algorithm, spec.k, spec.to_kind), []).append(position)
+        if groups:
             with self._pin_current() as snapshot:
-                self._answer_query_specs(snapshot, specs, results)
+                for (algorithm, k, to_kind), positions in groups.items():
+                    specs = [requests[p][1] for p in positions]
+                    # Over-fetch by the widest exclusion so filtering never
+                    # shrinks a result below k (keys are unique per kind).
+                    extra = max(len(spec.exclude_keys) for spec in specs)
+                    try:
+                        hits = self.read_path.search(
+                            snapshot, np.stack([vectors[p] for p in positions]),
+                            k=k + extra, kind=to_kind, algorithm=algorithm,
+                        )
+                    except Exception as error:  # noqa: BLE001 - fails this group only
+                        hits = [error] * len(positions)
+                    for position, spec, row in zip(positions, specs, hits):
+                        if not isinstance(row, Exception):
+                            row = [hit for hit in row if hit.key not in spec.exclude_keys][:k]
+                        results[position] = row
         return results
 
-    def _modal_query_vectors(self, kind: str, raw_items: Sequence[object]) -> List[np.ndarray]:
-        """One batched index-space encode of same-modality query items.
-
-        Netlist-side kinds (``cone``/``circuit``) are served by the model
-        directly; ``rtl``/``layout`` need the attached cross-modal encoder
-        (its fitted projection heads map them into index space).
-        """
-        raw_items = list(raw_items)
-        if kind == CONE_KIND:
-            vectors = self.model.encode_batch(raw_items)
-            return [self.model.pad_to_index_dim(v) for v in vectors]
-        if kind == CIRCUIT_KIND:
-            embeddings = self.model.encode_netlists(raw_items)
-            return [self.model.pad_to_index_dim(e.graph_embedding) for e in embeddings]
-        if self.crossmodal is None:
-            raise RuntimeError(
-                f"{kind!r} queries need a cross-modal encoder; construct the "
-                "service with crossmodal=CrossModalEncoder.load(index_dir, model)"
-            )
-        matrix = self.crossmodal.encode_queries(kind, raw_items)
-        return [matrix[i] for i in range(len(raw_items))]
-
-    def _encode_modal_positions(
-        self, items: List[Tuple[str, object]], modal_positions: List[int]
-    ) -> Dict[int, np.ndarray]:
-        """Encode a flush's modal queries, one batched pass per source kind."""
-        by_kind: Dict[str, List[int]] = {}
-        for position in modal_positions:
-            _, (from_kind, _, _, _, _) = items[position]
-            by_kind.setdefault(from_kind, []).append(position)
-        vectors: Dict[int, np.ndarray] = {}
-        for from_kind, positions in by_kind.items():
-            batch = [items[position][1][1] for position in positions]
-            for position, vector in zip(positions, self._modal_query_vectors(from_kind, batch)):
-                vectors[position] = vector
-        return vectors
-
-    def _answer_query_specs(
-        self,
-        snapshot: ReadSnapshot,
-        specs: List[Tuple[int, np.ndarray, int, Optional[str], Tuple[str, ...]]],
-        results: List[object],
-    ) -> List[object]:
-        """Resolve a flush's retrieval requests, one batched top-k per (k, kind)."""
-        groups: Dict[Tuple[int, Optional[str]], List[int]] = {}
-        for offset, (_, _, k, kind, _) in enumerate(specs):
-            groups.setdefault((k, kind), []).append(offset)
-        for (k, kind), offsets in groups.items():
-            stacked = np.stack([specs[offset][1] for offset in offsets])
-            # Over-fetch by the widest per-request exclusion so filtering
-            # can never shrink a result below k.
-            extra = max((len(specs[offset][4]) for offset in offsets), default=0)
-            hits = exact_topk(snapshot, stacked, k=k + extra, kind=kind)
-            for offset, row_hits in zip(offsets, hits):
-                position, _, _, _, exclude = specs[offset]
-                if exclude:
-                    row_hits = [hit for hit in row_hits if hit.key not in exclude]
-                results[position] = row_hits[:k]
-        return results
+    def _encode(self, from_kind: str, items: List[object]) -> List[object]:
+        if from_kind == CONE_KIND:
+            return self.model.encode_batch(items)
+        if from_kind == CIRCUIT_KIND:
+            return self.model.encode_netlists(items)
+        return list(self.crossmodal.encode_queries(from_kind, items))
 
     # ------------------------------------------------------------------
     # Encoding API (scheduler-backed; safe to call from many threads)
     # ------------------------------------------------------------------
     def submit_cone(self, cone: "RegisterCone") -> "Future[np.ndarray]":
         """Asynchronously encode one register cone through the micro-batcher."""
-        return self._scheduler.submit(("cone", cone))
+        return self._scheduler.submit(("encode", (CONE_KIND, cone)))
 
     def submit_netlist(self, netlist: "Netlist") -> "Future[CircuitEmbedding]":
         """Asynchronously encode one circuit through the micro-batcher."""
-        return self._scheduler.submit(("netlist", netlist))
+        return self._scheduler.submit(("encode", (CIRCUIT_KIND, netlist)))
 
     def encode_cone(self, cone: "RegisterCone", timeout: Optional[float] = None) -> np.ndarray:
         """Blocking counterpart of :meth:`submit_cone`."""
@@ -378,6 +296,75 @@ class NetTAGService:
     ) -> "CircuitEmbedding":
         """Blocking counterpart of :meth:`submit_netlist`."""
         return self.submit_netlist(netlist).result(timeout=timeout)
+
+    # ------------------------------------------------------------------
+    # Query API (scheduler-backed; safe to call from many threads)
+    # ------------------------------------------------------------------
+    def submit_query(
+        self,
+        item: object,
+        from_kind: str,
+        to_kind: Optional[str] = CONE_KIND,
+        k: int = 10,
+        exclude_keys: Optional[Sequence[str]] = None,
+        algorithm: str = "exact",
+    ) -> "Future[List[SearchHit]]":
+        """The query entry point: encode *and* search inside the micro-batch.
+
+        ``item`` follows ``from_kind``: a ``RegisterCone`` (``"cone"``), a
+        ``Netlist`` (``"circuit"``), RTL text (``"rtl"``), a ``LayoutGraph``
+        (``"layout"``) or a precomputed embedding (``"vector"``).
+        ``to_kind`` is the namespace searched (``None`` searches every kind)
+        and ``algorithm`` is ``"exact"``, ``"ivf"`` or ``"hnsw"`` (see
+        :class:`ReadPath`).  Invalid requests are rejected here, on the
+        caller thread, and an approximate searcher that needs a (re)fit is
+        fitted here too, before submission, so no co-flushed request waits
+        behind the fit.
+        """
+        self._require_index()
+        if from_kind not in QUERY_SOURCES:
+            raise ValueError(f"unknown query modality {from_kind!r}; choose from {QUERY_SOURCES}")
+        if to_kind is not None and to_kind not in INDEX_KINDS:
+            raise ValueError(f"unknown target kind {to_kind!r}; choose from {INDEX_KINDS}")
+        if algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+        if k < 1:
+            raise ValueError("k must be positive")
+        if from_kind == VECTOR_KIND:
+            item = self.model.pad_to_index_dim(item)
+        elif from_kind in (RTL_KIND, LAYOUT_KIND):
+            if self.crossmodal is None:
+                raise RuntimeError(
+                    f"{from_kind!r} queries need a cross-modal encoder; construct the "
+                    "service with crossmodal=CrossModalEncoder.load(index_dir, model)"
+                )
+            if not self.crossmodal.supports(from_kind):
+                raise RuntimeError(
+                    f"the attached cross-modal encoder has no {from_kind!r} "
+                    "encoder/projection (the index was built without that modality)"
+                )
+        if algorithm != "exact":
+            # A fit that fails here (an empty kind) fails again in the flush,
+            # which reports it on this request's future.
+            with self._pin_current() as snapshot, contextlib.suppress(Exception):
+                self.read_path.searcher(snapshot, algorithm, to_kind)
+        spec = QuerySpec(from_kind, item, to_kind, int(k), tuple(exclude_keys or ()), algorithm)
+        return self._scheduler.submit(("query", spec))
+
+    def query(
+        self,
+        item: object,
+        from_kind: str,
+        to_kind: Optional[str] = CONE_KIND,
+        k: int = 10,
+        exclude_keys: Optional[Sequence[str]] = None,
+        algorithm: str = "exact",
+        timeout: Optional[float] = None,
+    ) -> List[SearchHit]:
+        """Blocking counterpart of :meth:`submit_query`."""
+        return self.submit_query(
+            item, from_kind, to_kind, k, exclude_keys, algorithm
+        ).result(timeout=timeout)
 
     # ------------------------------------------------------------------
     # Ingest
@@ -396,7 +383,7 @@ class NetTAGService:
                 index.add(list(keys), np.stack(vectors), kinds=list(kinds))
             if flush:
                 index.save()
-            self._refresh_snapshot()
+            self.read_path.snapshots.refresh()
         return len(rows)
 
     def add_cones(
@@ -414,261 +401,29 @@ class NetTAGService:
                 )
             if flush:
                 index.save()
-            self._refresh_snapshot()
+            self.read_path.snapshots.refresh()
         return len(vectors)
 
     # ------------------------------------------------------------------
-    # Retrieval
+    # Approximate-searcher tuning
     # ------------------------------------------------------------------
     def fit_searcher(
-        self,
-        num_centroids: int = 32,
-        nprobe: int = 4,
-        seed: int = 0,
-        kind: Optional[str] = None,
-        algorithm: str = "ivf",
-        M: int = 16,
-        ef_construction: int = 80,
-        ef_search: int = 64,
-        persist: bool = False,
+        self, *, kind: Optional[str] = None, algorithm: str = "ivf", persist: bool = False, **params
     ) -> AnySearcher:
-        """Build/refresh the approximate searcher over one kind (namespace).
+        """Fit the approximate searcher over one kind (namespace) with explicit tuning.
 
-        ``algorithm`` selects IVF (``num_centroids``/``nprobe`` apply) or
-        HNSW (``M``/``ef_construction``/``ef_search`` apply); ``seed`` and
-        ``kind`` apply to both.  The service keeps one fitted searcher *per
-        target kind*, so queries against different modalities (``cone`` vs
-        ``rtl`` vs ``layout``) never evict each other's structure; the
-        last-fitted searcher is mirrored on :attr:`searcher`.  Fitting reads
-        a pinned snapshot — it never blocks queries or ingest.
-
-        ``persist=True`` (HNSW only) saves the fitted graph to the index
-        directory's sidecar (:func:`~repro.serve.search.hnsw_sidecar_path`)
-        so read replicas load it instead of refitting per process.
+        ``params`` go to the searcher: ``num_centroids``/``nprobe`` for IVF,
+        ``M``/``ef_construction``/``ef_search`` for HNSW, ``seed`` for both.
+        The fitted searcher becomes the read path's cached ``(algorithm,
+        kind)`` entry: its tuning survives later refits of that kind, and a
+        kind never fitted inherits the latest tuning of the same algorithm.
+        Fitting reads a pinned snapshot — it never blocks queries or ingest.
+        ``persist=True`` (HNSW only) also writes the index's sidecar
+        (:func:`~repro.serve.search.hnsw_sidecar_path`) so read replicas load
+        the graph instead of refitting per process.
         """
-        if persist and algorithm != "hnsw":
-            raise ValueError("persist=True applies to the 'hnsw' algorithm only")
-        if algorithm == "ivf":
-            searcher: AnySearcher = IVFSearcher(
-                num_centroids=num_centroids, nprobe=nprobe, seed=seed, kind=kind
-            )
-        elif algorithm == "hnsw":
-            searcher = HNSWSearcher(
-                M=M,
-                ef_construction=ef_construction,
-                ef_search=ef_search,
-                seed=seed,
-                kind=kind,
-            )
-        else:
-            raise ValueError(
-                f"unknown searcher algorithm {algorithm!r}; choose 'ivf' or 'hnsw'"
-            )
         with self._pin_current() as snapshot:
-            searcher.fit(snapshot)
-        if persist:
-            assert isinstance(searcher, HNSWSearcher)
-            searcher.save(hnsw_sidecar_path(self._require_index().directory, kind))
-        with self._searcher_lock:
-            self._searchers[kind] = searcher
-            self.searcher = searcher
-        return searcher
-
-    def _searcher_for_kind(
-        self, snapshot: ReadSnapshot, kind: Optional[str]
-    ) -> AnySearcher:
-        """The fitted searcher for ``kind``, refitting when stale or missing.
-
-        Refits when the index mutated since the fit OR when no searcher ever
-        covered this namespace — a ``kind=None`` searcher must not leak
-        circuit rows into cone queries (and vice versa).  User tuning *and
-        algorithm* survive: a kind that was fitted explicitly keeps its own
-        parameters across staleness refits (via ``clone_params``), and a
-        brand-new kind inherits the most recently fitted searcher's tuning.
-        Refitting happens on the caller's pinned snapshot, outside the write
-        lock; two racing refits both produce the same deterministic
-        structure, so last-write-wins is safe.
-        """
-        with self._searcher_lock:
-            searcher = self._searchers.get(kind)
-            template = searcher if searcher is not None else self.searcher
-        if searcher is not None and not searcher.needs_refit(snapshot):
-            return searcher
-        fresh: AnySearcher = (
-            template.clone_params(kind=kind)
-            if template is not None
-            else IVFSearcher(num_centroids=32, nprobe=4, seed=0, kind=kind)
-        )
-        fresh.fit(snapshot)
-        with self._searcher_lock:
-            self._searchers[kind] = fresh
-            self.searcher = fresh
-        return fresh
-
-    def query_embedding(
-        self,
-        vector: np.ndarray,
-        k: int = 10,
-        kind: Optional[str] = None,
-        exclude_keys: Optional[Sequence[str]] = None,
-        approximate: bool = False,
-    ) -> List[SearchHit]:
-        """Top-k index entries for one raw embedding vector.
-
-        Lock-free: the search runs on a pinned read snapshot, so it never
-        waits behind an in-flight ingest or hot-swap.
-        """
-        self._require_index()
-        vector = self.model.pad_to_index_dim(np.asarray(vector, dtype=np.float64))
-        with self._pin_current() as snapshot:
-            if approximate:
-                searcher = self._searcher_for_kind(snapshot, kind)
-                return searcher.search(vector[None, :], k=k, exclude_keys=exclude_keys)[0]
-            return exact_topk(
-                snapshot, vector[None, :], k=k, kind=kind, exclude_keys=exclude_keys
-            )[0]
-
-    def submit_query_cone(
-        self,
-        cone: "RegisterCone",
-        k: int = 10,
-        exclude_keys: Optional[Sequence[str]] = None,
-    ) -> "Future[List[SearchHit]]":
-        """Asynchronous cone query: encode *and* search inside the micro-batch.
-
-        All queries in one flush share a single batched top-k matmul over the
-        index shards, so per-search bookkeeping amortises across concurrent
-        callers (see ``BENCH_index.json``).
-        """
-        self._require_index()
-        return self._scheduler.submit(
-            ("query_cone", (cone, k, CONE_KIND, tuple(exclude_keys or ())))
-        )
-
-    def query_cone(
-        self,
-        cone: "RegisterCone",
-        k: int = 10,
-        exclude_self: bool = False,
-        netlist_name: Optional[str] = None,
-        approximate: bool = False,
-        timeout: Optional[float] = None,
-    ) -> List[SearchHit]:
-        """Encode a register cone (through the scheduler) and retrieve top-k."""
-        exclude = (
-            [cone_key(netlist_name, cone.register_name)]
-            if exclude_self and netlist_name is not None
-            else None
-        )
-        if approximate:
-            vector = self.encode_cone(cone, timeout=timeout)
-            return self.query_embedding(
-                vector, k=k, kind=CONE_KIND, exclude_keys=exclude, approximate=True
-            )
-        return self.submit_query_cone(cone, k=k, exclude_keys=exclude).result(timeout=timeout)
-
-    def query_netlist(
-        self,
-        netlist: "Netlist",
-        k: int = 10,
-        exclude_self: bool = False,
-        approximate: bool = False,
-    ) -> List[SearchHit]:
-        """Encode a circuit (through the scheduler) and retrieve similar circuits."""
-        embedding = self.encode_netlist(netlist)
-        exclude = [embedding.name] if exclude_self else None
-        return self.query_embedding(
-            embedding.graph_embedding,
-            k=k,
-            kind=CIRCUIT_KIND,
-            exclude_keys=exclude,
-            approximate=approximate,
-        )
-
-    # ------------------------------------------------------------------
-    # Cross-modal retrieval (kind-pair query API)
-    # ------------------------------------------------------------------
-    def submit_query_modal(
-        self,
-        item: object,
-        from_kind: str,
-        to_kind: str = CONE_KIND,
-        k: int = 10,
-        exclude_keys: Optional[Sequence[str]] = None,
-    ) -> "Future[List[SearchHit]]":
-        """Asynchronous cross-modal query: encode *and* search in the micro-batch.
-
-        ``item``'s type follows ``from_kind`` (see
-        :meth:`CrossModalEncoder.encode_queries`): a ``RegisterCone`` for
-        ``"cone"``, a ``Netlist`` for ``"circuit"``, an RTL text string for
-        ``"rtl"`` and a ``LayoutGraph`` for ``"layout"``.  Requests sharing a
-        flush get one batched encoder pass per source kind and one batched
-        top-k per ``(k, to_kind)`` group.
-
-        Invalid requests are rejected *here*, on the caller thread — a batch
-        callback exception would fail every unrelated request sharing the
-        flush.
-        """
-        self._require_index()
-        kinds = (CONE_KIND, CIRCUIT_KIND, RTL_KIND, LAYOUT_KIND)
-        if from_kind not in kinds:
-            raise ValueError(f"unknown query modality {from_kind!r}; choose from {kinds}")
-        if to_kind not in kinds:
-            raise ValueError(f"unknown target kind {to_kind!r}; choose from {kinds}")
-        if from_kind in (RTL_KIND, LAYOUT_KIND):
-            if self.crossmodal is None:
-                raise RuntimeError(
-                    f"{from_kind!r} queries need a cross-modal encoder; construct the "
-                    "service with crossmodal=CrossModalEncoder.load(index_dir, model)"
-                )
-            if not self.crossmodal.supports(from_kind):
-                raise RuntimeError(
-                    f"the attached cross-modal encoder has no {from_kind!r} "
-                    "encoder/projection (the index was built without that modality)"
-                )
-        return self._scheduler.submit(
-            ("query_modal", (from_kind, item, k, to_kind, tuple(exclude_keys or ())))
-        )
-
-    def query_modal(
-        self,
-        item: object,
-        from_kind: str,
-        to_kind: str = CONE_KIND,
-        k: int = 10,
-        exclude_keys: Optional[Sequence[str]] = None,
-        approximate: bool = False,
-        timeout: Optional[float] = None,
-    ) -> List[SearchHit]:
-        """Encode ``item`` in ``from_kind`` and retrieve top-k of ``to_kind``.
-
-        The blocking counterpart of :meth:`submit_query_modal` — "find the
-        netlist cones implementing this RTL snippet" is
-        ``query_modal(rtl_text, from_kind="rtl", to_kind="cone")``.  With
-        ``approximate=True`` the encode happens on the caller thread and the
-        search goes through the per-kind IVF searcher.
-        """
-        if approximate:
-            with self._lock:
-                vector = self._modal_query_vectors(from_kind, [item])[0]
-            return self.query_embedding(
-                vector, k=k, kind=to_kind, exclude_keys=exclude_keys, approximate=True
-            )
-        return self.submit_query_modal(
-            item, from_kind, to_kind=to_kind, k=k, exclude_keys=exclude_keys
-        ).result(timeout=timeout)
-
-    def query_rtl(
-        self, rtl_text: str, to_kind: str = CONE_KIND, k: int = 10, **kwargs
-    ) -> List[SearchHit]:
-        """Retrieve ``to_kind`` entries matching an RTL snippet."""
-        return self.query_modal(rtl_text, RTL_KIND, to_kind=to_kind, k=k, **kwargs)
-
-    def query_layout(
-        self, layout: object, to_kind: str = CONE_KIND, k: int = 10, **kwargs
-    ) -> List[SearchHit]:
-        """Retrieve ``to_kind`` entries matching a layout graph."""
-        return self.query_modal(layout, LAYOUT_KIND, to_kind=to_kind, k=k, **kwargs)
+            return self.read_path.fit(snapshot, algorithm, kind=kind, persist=persist, **params)
 
     def add_multimodal(
         self,
@@ -721,7 +476,7 @@ class NetTAGService:
                     "projected with the old one; pass the full corpus (existing "
                     "designs included) or rebuild the index"
                 )
-        with self._lock:
+        with self._lock, use_backend(self.backend):
             payload = encode_multimodal_rows(
                 self.crossmodal,
                 netlists,
@@ -736,7 +491,7 @@ class NetTAGService:
                 index.save()
             if payload.projections:
                 self.crossmodal.save(index.directory)
-            self._refresh_snapshot()
+            self.read_path.snapshots.refresh()
         return len(payload.rows)
 
     def near_duplicates(
@@ -755,16 +510,8 @@ class NetTAGService:
         # pairs for a vector that is no longer the key's value.  The whole
         # scan runs on one pinned snapshot, outside the write lock.
         with self._pin_current() as snapshot:
-            for (keys, kinds, matrix, norms), (_, kinds_array, live_rows) in zip(
-                snapshot.iter_segments(), snapshot.search_metadata()
-            ):
-                rows = live_rows
-                if len(rows):
-                    rows = rows[kinds_array[rows] == kind]
-                if not len(rows):
-                    continue
-                block = np.asarray(matrix[rows], dtype=np.float64) / norms[rows][:, None]
-                hits = exact_topk(snapshot, block, k=k + 1, kind=kind)
+            for keys, _, rows, block, norms in live_blocks(snapshot, kind):
+                hits = exact_topk(snapshot, block / norms[:, None], k=k + 1, kind=kind)
                 for r, row_hits in zip(rows, hits):
                     r = int(r)
                     for hit in row_hits:
@@ -798,7 +545,7 @@ class NetTAGService:
                 for path in stale_paths:
                     path.unlink(missing_ok=True)
 
-            self._refresh_snapshot(retire=_unlink_stale)
+            self.read_path.snapshots.refresh(retire=_unlink_stale)
         return result
 
     def swap_index(self, new_index: EmbeddingIndex) -> EmbeddingIndex:
@@ -806,11 +553,11 @@ class NetTAGService:
 
         Zero-downtime: readers pinned to the old index's snapshot finish on
         it untouched; requests arriving after the swap see the new corpus.
-        Fitted searchers are replaced by unfitted clones (same algorithm and
-        tuning) — generation counters are per-index, so a structure fitted
-        to the old corpus must never answer for the new one.  The old index
-        object stays valid (and its files stay on disk); retiring it is the
-        caller's decision.
+        Cached searchers need no reset: the read path reuses one only for the
+        index directory and content fingerprint it was fitted on, so a
+        structure fitted to the old corpus never answers for the new one.
+        The old index object stays valid (and its files stay on disk);
+        retiring it is the caller's decision.
         """
         if new_index.dim != self.model.index_dim:
             raise ValueError(
@@ -820,15 +567,7 @@ class NetTAGService:
         with self._lock:
             old_index = self.index
             self.index = new_index
-            with self._searcher_lock:
-                self._searchers = {
-                    kind: searcher.clone_params()
-                    for kind, searcher in self._searchers.items()
-                }
-                self.searcher = (
-                    self.searcher.clone_params() if self.searcher is not None else None
-                )
-            self._refresh_snapshot()
+            self.read_path.snapshots.refresh()
         return old_index  # type: ignore[return-value]
 
     def reload_index(self, directory) -> EmbeddingIndex:
@@ -863,7 +602,7 @@ class NetTAGService:
             if self.index is not None:
                 self.index.fingerprints.update(self.index_fingerprints(new_model))
                 self.index.save()
-                self._refresh_snapshot()
+                self.read_path.snapshots.refresh()
         return old_model
 
     # ------------------------------------------------------------------
@@ -877,13 +616,8 @@ class NetTAGService:
         }
         if self.index is not None:
             report["index"] = self.index.stats()
-            report["snapshots"] = self._snapshots.stats()
-        if self.searcher is not None:
-            report["searcher"] = self.searcher.stats()
-        if self._searchers:
-            report["searchers"] = {
-                str(kind): searcher.stats() for kind, searcher in self._searchers.items()
-            }
+            report["snapshots"] = self.read_path.snapshots.stats()
+            report["read_path"] = self.read_path.stats()
         if self.crossmodal is not None:
             report["crossmodal"] = {
                 "modalities": sorted(self.crossmodal.projections),
@@ -901,7 +635,7 @@ class NetTAGService:
         with self._lock:
             if self.index is not None:
                 self.index.save()
-        self._snapshots.shutdown()
+        self.read_path.snapshots.shutdown()
 
     def __enter__(self) -> "NetTAGService":
         return self

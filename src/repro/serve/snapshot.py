@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import threading
 import warnings
+from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -53,8 +54,11 @@ class ReadSnapshot:
         metadata: List[Metadata],
         live_map: Dict[Tuple[str, str], Tuple[int, int]],
         content_fingerprint: Optional[str] = None,
+        directory: Optional[Path] = None,
     ) -> None:
         self.dim = int(dim)
+        # The index directory this view was taken from (None for bare views).
+        self.directory = directory
         self.generation = int(generation)
         self._segments = list(segments)
         self._metadata = list(metadata)

@@ -219,13 +219,6 @@ class TestIndexCommands:
             ]) == 0
             outputs[searcher] = capsys.readouterr().out
             assert "alpha::" in outputs[searcher]
-        # --approx stays an alias for the IVF searcher.
-        assert main([
-            "index", "query", str(query_path), "--cones", "--approx",
-            "--checkpoint", str(checkpoint), "--index", str(index_dir),
-            "-k", "2",
-        ]) == 0
-        assert capsys.readouterr().out == outputs["ivf"]
 
         from repro.serve import EmbeddingIndex
 

@@ -279,14 +279,14 @@ class TestServiceQueries:
 
     def test_rtl_query_returns_ranked_cones(self, mm_pipeline, service):
         item = next(it for it in mm_pipeline.multimodal_items() if it.rtl_text)
-        hits = service.query_rtl(item.rtl_text, to_kind=CONE_KIND, k=4)
+        hits = service.query(item.rtl_text, RTL_KIND, to_kind=CONE_KIND, k=4)
         assert len(hits) == 4
         assert all(hit.kind == CONE_KIND for hit in hits)
         assert hits[0].score >= hits[-1].score
 
     def test_layout_query_targets_rtl_namespace(self, mm_pipeline, service):
         item = next(it for it in mm_pipeline.multimodal_items() if it.layout is not None)
-        hits = service.query_layout(item.layout, to_kind=RTL_KIND, k=3)
+        hits = service.query(item.layout, LAYOUT_KIND, to_kind=RTL_KIND, k=3)
         assert len(hits) == 3
         assert all(hit.kind == RTL_KIND for hit in hits)
 
@@ -296,10 +296,10 @@ class TestServiceQueries:
         try:
             assert service.crossmodal is None
             item = mm_pipeline.multimodal_items()[0]
-            hits = service.query_modal(item.cone, CONE_KIND, to_kind=CONE_KIND, k=2)
+            hits = service.query(item.cone, CONE_KIND, to_kind=CONE_KIND, k=2)
             assert len(hits) == 2
             with pytest.raises(RuntimeError, match="cross-modal encoder"):
-                service.query_modal("always @(posedge clk)", RTL_KIND)
+                service.query("always @(posedge clk)", RTL_KIND)
         finally:
             service.close()
 
@@ -307,8 +307,8 @@ class TestServiceQueries:
         items = [it for it in mm_pipeline.multimodal_items() if it.rtl_text][:6]
         futures = []
         for item in items:
-            futures.append(service.submit_query_modal(item.rtl_text, RTL_KIND, k=3))
-            futures.append(service.submit_query_modal(item.cone, CONE_KIND, k=3))
+            futures.append(service.submit_query(item.rtl_text, RTL_KIND, k=3))
+            futures.append(service.submit_query(item.cone, CONE_KIND, k=3))
         results = [future.result(timeout=30) for future in futures]
         assert all(len(hits) == 3 for hits in results)
 
@@ -323,12 +323,12 @@ class TestServiceQueries:
         service = NetTAGService(pipeline.model, index=index, crossmodal=encoder)
         try:
             item = pipeline.multimodal_items()[0]
-            assert service.query_modal(item.cone, CONE_KIND, to_kind=LAYOUT_KIND, k=3) == []
+            assert service.query(item.cone, CONE_KIND, to_kind=LAYOUT_KIND, k=3) == []
             # The approximate path cannot fit a coarse quantiser over an
             # empty namespace and says so instead of guessing.
             with pytest.raises(ValueError, match="empty"):
-                service.query_modal(
-                    item.cone, CONE_KIND, to_kind=LAYOUT_KIND, k=3, approximate=True
+                service.query(
+                    item.cone, CONE_KIND, to_kind=LAYOUT_KIND, k=3, algorithm="ivf"
                 )
         finally:
             service.close()
@@ -348,15 +348,46 @@ class TestServiceQueries:
             # service refits before answering, so removed rtl rows can never
             # surface (their cone/layout partners stay live).
             assert searcher.needs_refit(index)
-            hits = service.query_modal(
+            hits = service.query(
                 items[2].rtl_text, RTL_KIND, to_kind=RTL_KIND, k=len(items),
-                approximate=True,
+                algorithm="ivf",
             )
             assert removed_keys[0] not in {hit.key for hit in hits}
             assert index.get(removed_keys[0], kind=CONE_KIND) is not None
-            assert service.searcher is not searcher
+            refitted = service.read_path.cached("ivf", RTL_KIND)
+            assert refitted is not searcher
+            assert (refitted.num_centroids, refitted.nprobe) == (4, 4)
         finally:
             service.close()
+
+    @pytest.mark.parametrize("to_kind", [CONE_KIND, CIRCUIT_KIND, RTL_KIND, LAYOUT_KIND])
+    @pytest.mark.parametrize("from_kind", ["vector", CONE_KIND, CIRCUIT_KIND, RTL_KIND, LAYOUT_KIND])
+    def test_query_matches_exact_topk_on_the_pinned_snapshot(
+        self, mm_pipeline, service, from_kind, to_kind
+    ):
+        item = next(
+            it for it in mm_pipeline.multimodal_items() if it.rtl_text and it.layout is not None
+        )
+        raw = {
+            CONE_KIND: item.cone,
+            CIRCUIT_KIND: mm_pipeline.designs[0].netlist,
+            RTL_KIND: item.rtl_text,
+            LAYOUT_KIND: item.layout,
+        }
+        if from_kind == "vector":
+            query_item = service.crossmodal.encode_queries(RTL_KIND, [item.rtl_text])[0]
+            vector = query_item
+        else:
+            query_item = raw[from_kind]
+            vector = service.crossmodal.encode_queries(from_kind, [query_item])[0]
+        hits = service.query(query_item, from_kind, to_kind=to_kind, k=5)
+        with service.read_path.snapshots.pin() as snapshot:
+            expected = exact_topk(snapshot, vector[None, :], k=5, kind=to_kind)[0]
+        assert hits, "every kind of the multimodal index holds rows"
+        assert [(h.key, h.kind) for h in hits] == [(h.key, h.kind) for h in expected]
+        np.testing.assert_allclose(
+            [h.score for h in hits], [h.score for h in expected], rtol=0, atol=1e-12
+        )
 
     def test_stats_report_crossmodal_state(self, service):
         report = service.stats()
@@ -395,7 +426,7 @@ class TestAddMultimodal:
         service = mm_pipeline.serve(index=directory)
         try:
             with pytest.raises(ValueError, match="unknown query modality"):
-                service.submit_query_modal("x", "hologram")
+                service.submit_query("x", "hologram")
         finally:
             service.close()
 
@@ -411,10 +442,10 @@ class TestAddMultimodal:
         assert not encoder.supports(RTL_KIND) and encoder.supports(LAYOUT_KIND)
         with NetTAGService(pipeline.model, index=index, crossmodal=encoder) as service:
             with pytest.raises(RuntimeError, match="without that modality"):
-                service.query_rtl("assign x = a;", k=2)
+                service.query("assign x = a;", RTL_KIND, k=2)
             # Co-flushed legitimate queries are unaffected.
             item = pipeline.multimodal_items()[0]
-            assert len(service.query_layout(item.layout, to_kind=CONE_KIND, k=2)) == 2
+            assert len(service.query(item.layout, LAYOUT_KIND, to_kind=CONE_KIND, k=2)) == 2
 
     def test_incremental_ingest_without_existing_keys_is_rejected(self, mm_pipeline, tmp_path):
         """Refitting heads while old projected rows stay indexed is refused."""
@@ -437,6 +468,6 @@ class TestAddMultimodal:
         try:
             item = mm_pipeline.multimodal_items()[0]
             with pytest.raises(ValueError, match="unknown target kind"):
-                service.query_modal(item.cone, CONE_KIND, to_kind="layouts")
+                service.query(item.cone, CONE_KIND, to_kind="layouts")
         finally:
             service.close()

@@ -214,7 +214,7 @@ class TestServiceLevelFaults:
         cone = extract_register_cones(
             synthesize(make_controller("flt", seed=51, num_states=4, data_width=4)).netlist
         )[0]
-        before = service.query_cone(cone, k=2)
+        before = service.query(cone, "cone", k=2)
         flaky = _FlakyReplace(fail_at=2)
         monkeypatch.setattr(os, "replace", flaky)
         try:
@@ -223,7 +223,7 @@ class TestServiceLevelFaults:
         finally:
             monkeypatch.setattr(os, "replace", flaky.real)
         # Queries still serve, on a consistent snapshot.
-        after = service.query_cone(cone, k=2)
+        after = service.query(cone, "cone", k=2)
         assert [h.key for h in after] == [h.key for h in before]
         reopened = EmbeddingIndex.open(service.index.directory)
         _assert_same_content(_live_content(reopened), expected)
@@ -248,7 +248,7 @@ class TestServiceLevelFaults:
         # The service keeps serving embedding queries.
         rng = np.random.default_rng(1)
         probe = rng.normal(size=small_model.index_dim)
-        assert service.query_embedding(probe, k=1)
+        assert service.query(probe, "vector", to_kind=None, k=1)
 
 
 _WRITER_SCRIPT = """

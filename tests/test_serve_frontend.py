@@ -76,7 +76,7 @@ class TestHappyPath:
                 hits = await frontend.query_cone(cones[0], k=3)
                 assert hits and hits[0].score > 0.99
                 vector = await frontend.encode_cone(cones[0])
-                direct = await frontend.query_embedding(vector, k=3, kind="cone")
+                direct = await frontend.query(vector, "vector", k=3)
                 assert {h.key for h in direct} == {h.key for h in hits}
                 added = await frontend.add_netlists(corpus)
                 assert added > 0
@@ -265,13 +265,13 @@ class TestGracefulDrain:
 
 
 class TestEmbeddingVectorQueries:
-    def test_query_embedding_runs_off_loop(self, service, cones):
+    def test_vector_query_rides_the_micro_batch(self, service, cones):
         async def main():
             async with AsyncFrontend(service) as frontend:
                 vector = np.asarray(await frontend.encode_cone(cones[0]))
-                hits = await frontend.query_embedding(
-                    vector, k=2, kind="cone", approximate=False
-                )
+                hits = await frontend.query(vector, "vector", k=2)
                 assert hits and hits[0].score > 0.99
+                approx = await frontend.query(vector, "vector", k=2, algorithm="hnsw")
+                assert approx and approx[0].score > 0.99
 
         run(main())

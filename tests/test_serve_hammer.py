@@ -74,7 +74,7 @@ class TestQueryIngestHammer:
             try:
                 for i in range(QUERIES_PER_THREAD):
                     cone = cones[int(rng.integers(0, len(cones)))]
-                    future = service.submit_query_cone(cone, k=3)
+                    future = service.submit_query(cone, "cone", k=3)
                     hits = future.result(timeout=RESULT_TIMEOUT)
                     assert hits, "query returned no hits"
                     with resolved_lock:
@@ -125,7 +125,7 @@ class TestQueryIngestHammer:
         assert stats["snapshots"]["pinned_readers"] == 0
 
     def test_scheduler_conserves_counts_after_drain(self, service, cones):
-        futures = [service.submit_query_cone(cones[i % len(cones)], k=2) for i in range(40)]
+        futures = [service.submit_query(cones[i % len(cones)], "cone", k=2) for i in range(40)]
         service._scheduler.close()
         outcomes = 0
         for future in futures:
@@ -157,7 +157,7 @@ class TestGenerationConsistency:
                     pair = np.stack([marker, marker])
                     with service._lock:
                         index.add([f"pair{i}_a", f"pair{i}_b"], pair, kinds="cone")
-                        service._refresh_snapshot()
+                        service.read_path.snapshots.refresh()
             except Exception as error:  # noqa: BLE001
                 errors.append(error)
             finally:
@@ -166,7 +166,7 @@ class TestGenerationConsistency:
         def reader() -> None:
             try:
                 while not stop.is_set():
-                    hits = service.query_embedding(marker, k=2, kind="cone")
+                    hits = service.query(marker, "vector", to_kind="cone", k=2)
                     keys = {hit.key for hit in hits}
                     pair_keys = {key for key in keys if key.startswith("pair")}
                     if pair_keys:
@@ -225,7 +225,7 @@ class TestGenerationConsistency:
         def reader() -> None:
             try:
                 while not stop.is_set():
-                    hits = service.query_embedding(probe, k=5, kind="cone")
+                    hits = service.query(probe, "vector", to_kind="cone", k=5)
                     prefixes = {hit.key.split("_")[0] for hit in hits}
                     assert len(prefixes) == 1, f"mixed-corpus response: {prefixes}"
             except Exception as error:  # noqa: BLE001

@@ -138,6 +138,18 @@ class TestDeterministicRebuild:
         hits = searcher.search(fresh[:5], k=1)
         assert [row[0].key for row in hits] == [f"new{i}" for i in range(5)]
 
+    def test_sync_rebuilds_when_a_known_row_is_superseded(self, tmp_path):
+        index = _corpus_index(tmp_path, 100, 16, seed=5)
+        searcher = HNSWSearcher(M=8, seed=0).fit(index)
+        moved = np.random.default_rng(8).normal(size=16)
+        first_key = index.keys()[0]
+        index.add([first_key], moved[None, :], kinds="cone")
+        searcher.sync(index)
+        assert not searcher.needs_refit(index)
+        assert searcher.structure_digest() == HNSWSearcher(M=8, seed=0).fit(index).structure_digest()
+        hit = searcher.search(moved[None, :], k=1)[0][0]
+        assert (hit.key, round(hit.score, 9)) == (first_key, 1.0)
+
 
 class TestStalenessParityWithIVF:
     @pytest.fixture()

@@ -80,7 +80,7 @@ class TestIngest:
 class TestQueries:
     def test_cone_self_query_scores_unit_similarity(self, served, corpus):
         cone = extract_register_cones(corpus[0])[0]
-        hits = served.query_cone(cone, k=3)
+        hits = served.query(cone, CONE_KIND, k=3)
         # The cone's own entry scores ~1.0.  It may tie with a structurally
         # identical cone from the sibling design (the near-duplicate
         # phenomenon the index exists to surface), so top-1 is not guaranteed
@@ -94,11 +94,13 @@ class TestQueries:
 
     def test_exclude_self_drops_own_entry(self, served, corpus):
         cone = extract_register_cones(corpus[0])[0]
-        hits = served.query_cone(cone, k=3, exclude_self=True, netlist_name=corpus[0].name)
-        assert all(hit.key != cone_key(corpus[0].name, cone.register_name) for hit in hits)
+        own_key = cone_key(corpus[0].name, cone.register_name)
+        hits = served.query(cone, CONE_KIND, k=3, exclude_keys=[own_key])
+        assert len(hits) == 3
+        assert all(hit.key != own_key for hit in hits)
 
     def test_netlist_query_retrieves_itself(self, served, corpus):
-        hits = served.query_netlist(corpus[1], k=2)
+        hits = served.query(corpus[1], CIRCUIT_KIND, to_kind=CIRCUIT_KIND, k=2)
         assert hits[0].key == corpus[1].name
         assert hits[0].kind == CIRCUIT_KIND
         assert hits[0].score == pytest.approx(1.0, abs=1e-5)
@@ -106,7 +108,7 @@ class TestQueries:
     def test_approximate_query_finds_self(self, served, corpus):
         cone = extract_register_cones(corpus[1])[0]
         served.fit_searcher(num_centroids=4, nprobe=4, kind=CONE_KIND)
-        hits = served.query_cone(cone, k=3, approximate=True)
+        hits = served.query(cone, CONE_KIND, k=3, algorithm="ivf")
         by_key = {hit.key: hit.score for hit in hits}
         assert by_key[cone_key(corpus[1].name, cone.register_name)] == pytest.approx(
             1.0, abs=1e-5
@@ -126,7 +128,7 @@ class TestQueries:
         # reused for a cone-scoped query — the service refits kind-scoped.
         served.fit_searcher(num_centroids=4, nprobe=4, kind=None)
         cone = extract_register_cones(corpus[0])[0]
-        hits = served.query_cone(cone, k=8, approximate=True)
+        hits = served.query(cone, CONE_KIND, k=8, algorithm="ivf")
         assert hits
         assert all(hit.kind == CONE_KIND for hit in hits)
 
@@ -149,7 +151,7 @@ class TestQueries:
     def test_query_without_index_raises(self, small_model):
         with NetTAGService(small_model, max_latency_ms=1.0) as service:
             with pytest.raises(RuntimeError, match="without an index"):
-                service.query_embedding(np.zeros(small_model.index_dim), k=1)
+                service.query(np.zeros(small_model.index_dim), "vector", k=1)
 
 
 class TestConcurrentServing:
@@ -224,24 +226,41 @@ class TestConcurrentServing:
         assert not errors
         assert corpus[1].name in index
 
-    def test_user_tuned_searcher_parameters_survive_kind_refit(self, served, corpus):
-        # A brand-new kind (no circuit searcher fitted anywhere above)
-        # inherits the tuning of the most recently fitted searcher.
-        served.fit_searcher(num_centroids=6, nprobe=5, kind=None)
-        served.query_netlist(corpus[0], k=2, approximate=True)  # forces a kind fit
-        assert served.searcher.kind == CIRCUIT_KIND
-        assert served.searcher.num_centroids == 6
-        assert served.searcher.nprobe == 5
+    def test_user_tuned_searcher_parameters_survive_kind_refit(
+        self, small_model, corpus, tmp_path
+    ):
+        # A brand-new kind (no circuit searcher fitted before) inherits the
+        # tuning of the most recently fitted searcher of that algorithm.
+        index = NetTAGService.create_index(small_model, tmp_path / "inherit")
+        with NetTAGService(small_model, index=index, max_latency_ms=1.0) as service:
+            service.add_netlists(corpus)
+            service.fit_searcher(num_centroids=6, nprobe=5, kind=None)
+            assert service.read_path.cached("ivf", CIRCUIT_KIND) is None
+            service.query(corpus[0], CIRCUIT_KIND, to_kind=CIRCUIT_KIND, k=2,
+                          algorithm="ivf")  # forces a kind fit
+            searcher = service.read_path.cached("ivf", CIRCUIT_KIND)
+            assert searcher.kind == CIRCUIT_KIND
+            assert searcher.num_centroids == 6
+            assert searcher.nprobe == 5
 
-    def test_per_kind_searcher_tuning_is_independent(self, served, corpus):
+    def test_per_kind_searcher_tuning_is_independent(self, small_model, corpus, tmp_path):
         # An explicitly tuned kind keeps its parameters even after another
-        # kind is fitted with different ones (no cross-kind clobbering).
-        served.fit_searcher(num_centroids=8, nprobe=3, kind=CONE_KIND)
-        served.fit_searcher(num_centroids=2, nprobe=1, kind=CIRCUIT_KIND)
-        cone = extract_register_cones(corpus[0])[0]
-        served.query_cone(cone, k=2, approximate=True)
-        assert served._searchers[CONE_KIND].num_centroids == 8
-        assert served._searchers[CONE_KIND].nprobe == 3
+        # kind is fitted with different ones (no cross-kind clobbering),
+        # and across a refit forced by an index mutation.
+        index = NetTAGService.create_index(small_model, tmp_path / "per-kind")
+        with NetTAGService(small_model, index=index, max_latency_ms=1.0) as service:
+            service.add_netlists(corpus)
+            service.fit_searcher(num_centroids=8, nprobe=3, kind=CONE_KIND)
+            service.fit_searcher(num_centroids=2, nprobe=1, kind=CIRCUIT_KIND)
+            cone = extract_register_cones(corpus[0])[0]
+            service.query(cone, CONE_KIND, k=2, algorithm="ivf")
+            fitted = service.read_path.cached("ivf", CONE_KIND)
+            assert (fitted.num_centroids, fitted.nprobe) == (8, 3)
+            service.add_cones("tuning_probe", [cone])  # generation moves: refit
+            service.query(cone, CONE_KIND, k=2, algorithm="ivf")
+            refitted = service.read_path.cached("ivf", CONE_KIND)
+            assert refitted is not fitted
+            assert (refitted.num_centroids, refitted.nprobe) == (8, 3)
 
 
 class TestPipelineIndexStage:
@@ -267,5 +286,5 @@ class TestPipelineIndexStage:
         pipeline.build_index(tmp_path / "idx", netlists=corpus)
         with pipeline.serve(index=tmp_path / "idx", max_latency_ms=1.0) as service:
             cone = extract_register_cones(corpus[0])[0]
-            hits = service.query_cone(cone, k=2)
+            hits = service.query(cone, CONE_KIND, k=2)
             assert hits[0].key == cone_key(corpus[0].name, cone.register_name)
