@@ -45,6 +45,11 @@ class TestCrossModalBench:
         report = run_crossmodal_bench(pipeline=pipeline, min_items=MIN_ITEMS)
         if report["speedup"]["concurrent_vs_sequential"] < REQUIRED_SPEEDUP:
             report = run_crossmodal_bench(pipeline=pipeline, min_items=MIN_ITEMS)
+        # A run leaves no cached embeddings behind: their last bits depend on
+        # the flush batching, and a rerun on this pipeline must rebuild the
+        # rows it built the first time.
+        assert pipeline.model.expr_llm.cache_stats()["size"] == 0
+        assert not pipeline.rtl_encoder._cache
         # The committed baseline changes only through the deliberate
         # scripts/bench_crossmodal.py refresh (host-stamped, gated): a test
         # run is often loaded (the suite itself pegs the core), so a test-

@@ -13,7 +13,7 @@
 # model smoke job.  The scheduled benchmark workflow
 # (.github/workflows/bench.yml) is NOT mirrored here; run
 # scripts/bench_throughput.py / scripts/bench_index.py /
-# scripts/bench_crossmodal.py / scripts/bench_train.py for that.
+# scripts/bench_crossmodal.py for that.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"

@@ -22,6 +22,14 @@ from typing import Dict
 LOADED_THRESHOLD = 0.5
 
 
+def available_cores() -> int:
+    """Usable CPU cores (affinity-aware: containers often pin fewer)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux fallback
+        return os.cpu_count() or 1
+
+
 def host_snapshot() -> Dict[str, object]:
     """Capture the benchmarking host's identity and current load.
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from ..core import NetTAG, NetTAGConfig
 from ..netlist import RegisterCone, extract_register_cones, netlist_to_tag
-from .host import host_snapshot
+from .host import available_cores, host_snapshot
 from ..rtl import make_controller
 from ..serve import (
     CONE_KIND,
@@ -58,7 +58,6 @@ from ..serve import (
 )
 from ..synth import synthesize
 from .throughput import api_sequential_encode, seed_sequential_encode
-from .train import available_cores
 
 BENCH_INDEX_PATH = Path(__file__).resolve().parents[3] / "BENCH_index.json"
 

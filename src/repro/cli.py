@@ -82,13 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="snapshot the full training state every N optimiser steps")
     pretrain.add_argument("--resume", action="store_true",
                           help="resume an interrupted run from its training checkpoints")
-    pretrain.add_argument("--num-workers", type=int, default=0, metavar="N",
-                          help="data-parallel worker processes for the training stages "
-                               "(0 = classic sequential engine; results are bit-identical "
-                               "for any worker count up to --world-size)")
-    pretrain.add_argument("--world-size", type=int, default=0, metavar="N",
-                          help="gradient lanes of the parallel engine (default 4); fixes "
-                               "the batch decomposition independently of --num-workers")
     pretrain.add_argument("--shard-size", type=int, default=0, metavar="N",
                           help="stream the training corpora from on-disk shards of N items "
                                "(0 = keep them in memory); shards live under --cache-dir")
@@ -236,8 +229,6 @@ def _run_pretrain(args: argparse.Namespace) -> int:
             designs_per_suite=args.designs_per_suite,
             resume=args.resume,
             checkpoint_every=args.checkpoint_every,
-            num_workers=args.num_workers,
-            world_size=args.world_size,
             shard_size=args.shard_size,
         )
     except KeyboardInterrupt:

@@ -30,6 +30,15 @@ MODEL_SIZE_PARAMETER_LABELS: Dict[str, str] = {
 }
 
 
+# Pre-training settings of the removed data-parallel engine, still present in
+# configurations saved by earlier releases.
+_REMOVED_PRETRAIN_KEYS = ("num_workers", "world_size")
+
+
+def _without_removed_keys(section: Dict[str, object]) -> Dict[str, object]:
+    return {k: v for k, v in section.items() if k not in _REMOVED_PRETRAIN_KEYS}
+
+
 @dataclass
 class NetTAGConfig:
     """Full configuration of NetTAG (architecture + pre-training + ablations)."""
@@ -165,14 +174,20 @@ class NetTAGConfig:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "NetTAGConfig":
-        """Rebuild a configuration produced by :meth:`to_dict`."""
+        """Rebuild a configuration produced by :meth:`to_dict`.
+
+        Models saved by releases that still had the data-parallel training
+        engine carry its settings (``_REMOVED_PRETRAIN_KEYS``) in both
+        pre-training configs; they never affect a trained model, so they are
+        dropped.
+        """
         data = dict(data)
         expr = data.get("expr_pretrain")
         if isinstance(expr, dict):
-            data["expr_pretrain"] = ExprPretrainConfig(**expr)
+            data["expr_pretrain"] = ExprPretrainConfig(**_without_removed_keys(expr))
         tag = data.get("tag_pretrain")
         if isinstance(tag, dict):
-            data["tag_pretrain"] = TAGPretrainConfig(**tag)
+            data["tag_pretrain"] = TAGPretrainConfig(**_without_removed_keys(tag))
         return cls(**data)
 
     def ablated(self, component: str) -> "NetTAGConfig":

@@ -375,8 +375,6 @@ class NetTAGPipeline:
         checkpoint_every: int = 0,
         stop_after: Optional[str] = None,
         max_steps: Optional[Mapping[str, int]] = None,
-        num_workers: int = 0,
-        world_size: int = 0,
         shard_size: int = 0,
     ) -> PretrainSummary:
         """Run the full two-step pre-training pipeline.
@@ -389,27 +387,17 @@ class NetTAGPipeline:
         ``stop_after`` / ``max_steps`` (a ``{stage: global step}`` mapping)
         stop early — useful to simulate interruption or budget a run.
 
-        ``num_workers >= 1`` runs both pre-training stages on the sliced
-        data-parallel engine (``num_workers`` spawned processes; results are
-        bit-identical for any worker count up to ``world_size`` — see
-        :mod:`repro.train.parallel`), and ``shard_size > 0`` streams the
-        training corpora from fingerprinted on-disk shards (under
-        ``cache_dir``/``checkpoint_dir`` when available) instead of holding
-        them in memory.  Both knobs change the minibatch decomposition, so
-        their loss curves differ from the sequential engine's — but resume,
-        caching and the determinism guarantees hold within each setting.
+        ``shard_size > 0`` streams the training corpora from fingerprinted
+        on-disk shards (under ``cache_dir``/``checkpoint_dir`` when
+        available) instead of holding them in memory.  It changes the
+        minibatch schedule, so its loss curves differ from the in-memory
+        run's — but resume, caching and the determinism guarantees hold
+        within each setting.
         """
         if stop_after is not None and stop_after not in PIPELINE_STAGES:
             raise ValueError(f"unknown stage {stop_after!r}; choose from {PIPELINE_STAGES}")
         from dataclasses import replace as _replace
 
-        parallel_overrides = {}
-        if num_workers:
-            parallel_overrides["num_workers"] = int(num_workers)
-        if world_size:
-            parallel_overrides["world_size"] = int(world_size)
-        if shard_size:
-            parallel_overrides["shard_size"] = int(shard_size)
         shard_dir = None
         if shard_size or self.config.expr_pretrain.shard_size or self.config.tag_pretrain.shard_size:
             if self.artifacts.root is not None:
@@ -471,8 +459,8 @@ class NetTAGPipeline:
         if self.config.use_expression_contrastive:
             start = time.perf_counter()
             expr_config = self.config.expr_pretrain
-            if parallel_overrides:
-                expr_config = _replace(expr_config, **parallel_overrides)
+            if shard_size:
+                expr_config = _replace(expr_config, shard_size=int(shard_size))
             pretrainer = ExprLLMPretrainer(self.model.expr_llm, expr_config)
             self.summary.expr_result = pretrainer.run(
                 expressions,
@@ -571,8 +559,8 @@ class NetTAGPipeline:
         # Stage: Step-2 TAGFormer pre-training (ExprLLM frozen).
         start = time.perf_counter()
         tag_config = self.config.tag_pretrain_config()
-        if parallel_overrides:
-            tag_config = _replace(tag_config, **parallel_overrides)
+        if shard_size:
+            tag_config = _replace(tag_config, shard_size=int(shard_size))
         tag_trainer = TAGFormerPretrainer(
             self.model.tagformer,
             num_cell_types=len(type_index),

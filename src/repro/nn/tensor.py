@@ -102,16 +102,15 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     # ------------------------------------------------------------------
-    # Pickling (spawn-safe worker transport)
+    # Pickling
     # ------------------------------------------------------------------
     def __getstate__(self) -> Tuple[np.ndarray, Optional[np.ndarray], bool, str]:
         """Pickle a tensor as a graph *leaf*.
 
         The autograd closures (``_backward``/``_prev``) reference local
         functions and cannot cross a process boundary; a pickled tensor
-        therefore carries only its value, gradient buffer and flags.  That is
-        exactly what the data-parallel workers need: modules travel to a
-        worker once, and every subsequent forward rebuilds a fresh graph.
+        therefore carries only its value, gradient buffer and flags, and
+        the next forward on the unpickled copy rebuilds a fresh graph.
         """
         return (self.data, self.grad, self.requires_grad, self.name)
 

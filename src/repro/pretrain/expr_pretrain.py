@@ -47,14 +47,10 @@ class ExprPretrainConfig:
     lora_rank: int = 4
     num_rewrites: int = 3
     seed: int = 0
-    # Data-parallel / streaming-corpus knobs (see repro.train.parallel and
-    # repro.train.corpus).  num_workers = 0 keeps the classic sequential
-    # engine; >= 1 uses the sliced engine (bit-identical for any worker count
-    # up to world_size).  shard_size > 0 streams the augmented expression
-    # pairs from fingerprinted on-disk shards instead of holding them in
-    # memory (and switches to the shard-local ShardStreamPlan schedule).
-    num_workers: int = 0
-    world_size: int = 0
+    # shard_size > 0 streams the augmented expression pairs from
+    # fingerprinted on-disk shards instead of holding them in memory (and
+    # switches to the shard-local ShardStreamPlan schedule; see
+    # repro.train.corpus).
     shard_size: int = 0
 
 
@@ -82,13 +78,11 @@ class ExprContrastiveTask(TrainTask):
 
     With ``config.shard_size > 0`` and a ``shard_dir``, the augmented pairs
     are written once into a fingerprinted :class:`~repro.train.ShardedCorpus`
-    and streamed shard-by-shard during training; spawned data-parallel workers
-    receive the corpus handle (directory + manifest) and fetch the same shards
-    from disk instead of materialising the corpus.
+    and streamed shard-by-shard during training instead of being held in
+    memory.
     """
 
     name = "expr_contrastive"
-    min_slice_items = 2  # InfoNCE needs at least two samples per slice
 
     def __init__(
         self,
@@ -206,11 +200,8 @@ class ExprLLMPretrainer:
         ``max_steps`` stops early at that global step (leaving a snapshot), so
         an interrupted run can be simulated or budgeted.
 
-        ``config.num_workers`` switches to the data-parallel sliced engine
-        (results are bit-identical for any worker count up to
-        ``config.world_size``); ``config.shard_size`` streams the pair corpus
-        from on-disk shards in ``shard_dir`` (a temporary directory when
-        omitted).
+        ``config.shard_size`` streams the pair corpus from on-disk shards in
+        ``shard_dir`` (a temporary directory when omitted).
         """
         config = self.config
         expressions = [e for e in expressions if e.strip()]
@@ -232,8 +223,6 @@ class ExprLLMPretrainer:
                     save_final=checkpoint_path is not None,
                     max_steps=max_steps,
                     seed=config.seed,
-                    num_workers=config.num_workers,
-                    world_size=config.world_size,
                 ),
                 metadata=metadata,
             )

@@ -67,11 +67,8 @@ class TAGPretrainConfig:
     size_weight: float = 0.5
     cross_stage_weight: float = 1.0
     seed: int = 0
-    # Data-parallel / streaming-corpus knobs (mirrors ExprPretrainConfig):
-    # num_workers >= 1 uses the sliced engine, shard_size > 0 streams the
-    # Step-2 samples from fingerprinted on-disk shards.
-    num_workers: int = 0
-    world_size: int = 0
+    # shard_size > 0 streams the Step-2 samples from fingerprinted on-disk
+    # shards (mirrors ExprPretrainConfig).
     shard_size: int = 0
 
 
@@ -99,13 +96,11 @@ class TAGPretrainTask(TrainTask):
 
     With ``config.shard_size > 0`` and a ``shard_dir``, the pre-built Step-2
     samples are written once into a fingerprinted
-    :class:`~repro.train.ShardedCorpus` and streamed shard-by-shard; pickling
-    the task for a data-parallel worker then drops the in-memory sample list
-    entirely — workers fetch the same shards from disk.
+    :class:`~repro.train.ShardedCorpus` and streamed shard-by-shard; the
+    in-memory sample list is dropped once the shards are written.
     """
 
     name = "tag_pretrain"
-    min_slice_items = 2  # graph contrastive needs at least two graphs
 
     def __init__(
         self,
@@ -154,13 +149,6 @@ class TAGPretrainTask(TrainTask):
             }
         )
         return f"tag-samples-{key}"
-
-    def __getstate__(self) -> Dict[str, object]:
-        state = dict(self.__dict__)
-        if self.corpus is not None:
-            # Workers stream from the shards; no need to ship the sample list.
-            state["samples"] = None
-        return state
 
     def setup(self, rng: np.random.Generator) -> BatchPlan:
         self.pretrainer.tagformer.train()
@@ -379,8 +367,6 @@ class TAGFormerPretrainer:
         resumed run's curves and final weights are bit-identical to an
         uninterrupted run with the same samples and seed.
 
-        ``config.num_workers`` switches to the data-parallel sliced engine
-        (bit-identical for any worker count up to ``config.world_size``);
         ``config.shard_size`` streams the sample corpus from on-disk shards in
         ``shard_dir`` (a temporary directory when omitted).
         """
@@ -404,8 +390,6 @@ class TAGFormerPretrainer:
                     save_final=checkpoint_path is not None,
                     max_steps=max_steps,
                     seed=config.seed,
-                    num_workers=config.num_workers,
-                    world_size=config.world_size,
                 ),
                 metadata=metadata,
             )

@@ -316,12 +316,8 @@ def _replica_worker(directory: str, conn, options: Dict[str, Any]) -> None:
             try:
                 if command == "query":
                     conn.send(("ok", replica.query(**payload)))
-                elif command == "refresh":
-                    conn.send(("ok", replica.check_for_update()))
                 elif command == "stats":
                     conn.send(("ok", replica.stats()))
-                elif command == "ping":
-                    conn.send(("ok", "pong"))
                 elif command == "close":
                     conn.send(("ok", "closing"))
                     break
@@ -446,10 +442,6 @@ class ReplicaPool:
             "exclude_keys": list(exclude_keys) if exclude_keys else None,
         }
         return self._call(slot, "query", payload)
-
-    def refresh(self) -> List[bool]:
-        """Force one watcher step on every worker; returns per-worker change flags."""
-        return [self._call(slot, "refresh") for slot in range(self.num_replicas)]
 
     def stats(self) -> List[Dict[str, object]]:
         """Per-worker :meth:`ReadReplica.stats` reports."""

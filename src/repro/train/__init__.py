@@ -21,17 +21,6 @@ from .engine import (
 )
 from .artifacts import ArtifactStore, RunManifest, StageRun, StageTiming, fingerprint
 from .corpus import ShardedCorpus, ShardStreamPlan
-from .parallel import (
-    DEFAULT_WORLD_SIZE,
-    SliceResult,
-    WorkerError,
-    WorkerPool,
-    pairwise_sum,
-    partition_batch,
-    reduce_slices,
-    run_slices,
-    slice_rng,
-)
 
 __all__ = [
     "BatchPlan",
@@ -48,13 +37,4 @@ __all__ = [
     "StageRun",
     "StageTiming",
     "fingerprint",
-    "DEFAULT_WORLD_SIZE",
-    "SliceResult",
-    "WorkerError",
-    "WorkerPool",
-    "pairwise_sum",
-    "partition_batch",
-    "reduce_slices",
-    "run_slices",
-    "slice_rng",
 ]

@@ -11,8 +11,8 @@ stamps), so a task holds only the shard(s) a minibatch actually touches:
   a small JSON manifest (plus a corpus-level fingerprint over all shards).
 * :meth:`ShardedCorpus.open` attaches to an existing corpus and verifies the
   manifest; :meth:`ShardedCorpus.build_or_open` is the idempotent entry the
-  training tasks use — the parent process builds, spawned data-parallel
-  workers open the very same shards.
+  training tasks use — the first run builds, later runs (and resumes) open
+  the very same shards.
 * :meth:`ShardedCorpus.fetch` resolves arbitrary item indices shard-by-shard
   through a small LRU of loaded shards, and :meth:`ShardedCorpus.prefetch`
   schedules the *next* shard's load on a background thread (double
@@ -33,7 +33,7 @@ from __future__ import annotations
 import threading
 import warnings
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -57,8 +57,8 @@ class ShardedCorpus:
     :class:`~repro.train.artifacts.ArtifactStore` root) under a ``name``; the
     manifest ``<name>.corpus.json`` lists per-shard lengths and content
     fingerprints.  Instances are picklable: only the directory, name and
-    manifest travel across a process boundary — spawned workers reload shard
-    payloads from disk on demand.
+    manifest are pickled — a copy reloads shard payloads from disk on
+    demand.
     """
 
     def __init__(
@@ -83,6 +83,8 @@ class ShardedCorpus:
         self._store = ArtifactStore(self.directory)
         self._cache: Dict[int, List[Any]] = {}
         self._cache_order: List[int] = []
+        # Shards a prefetch put in the LRU that no load_shard has served yet.
+        self._prefetched: Set[int] = set()
         self._lock = threading.Lock()
         self._prefetch_thread: Optional[threading.Thread] = None
         self._prefetch_id: Optional[int] = None
@@ -95,7 +97,7 @@ class ShardedCorpus:
         self.prefetch_failures = 0
 
     # ------------------------------------------------------------------
-    # Pickling: workers reopen the on-disk shards, never the live cache.
+    # Pickling: a copy reopens the on-disk shards, never the live cache.
     # ------------------------------------------------------------------
     def __getstate__(self) -> Dict[str, object]:
         return {
@@ -215,8 +217,8 @@ class ShardedCorpus:
     ) -> "ShardedCorpus":
         """Open the corpus if its manifest already exists, else build it.
 
-        The idempotent entry point shared by the parent trainer (which builds)
-        and its spawned workers (which open the freshly built shards).  Callers
+        The idempotent entry point of the training tasks: the first run
+        builds, a rerun or resume opens the shards already on disk.  Callers
         must make ``name`` content-derived (e.g. via
         :func:`~repro.train.artifacts.fingerprint` of the item identity), so a
         stale corpus from a different run can never be opened by accident.
@@ -267,6 +269,7 @@ class ShardedCorpus:
         while len(self._cache_order) > self.cache_shards:
             evicted = self._cache_order.pop(0)
             self._cache.pop(evicted, None)
+            self._prefetched.discard(evicted)
 
     def _harvest_prefetch(self, wait_for: Optional[int] = None) -> None:
         """Fold a finished (or awaited) prefetch into the LRU and free the slot."""
@@ -297,10 +300,9 @@ class ShardedCorpus:
             else:
                 warn = False
             if payload is not None and shard_index is not None:
-                if wait_for is not None and shard_index == wait_for:
-                    self.prefetch_hits += 1
                 if shard_index not in self._cache:
                     self._cache_put(shard_index, payload)
+                    self._prefetched.add(shard_index)
                 if self._failed_prefetch is not None and self._failed_prefetch[0] == shard_index:
                     self._failed_prefetch = None  # a successful retry clears it
         if warn:
@@ -328,6 +330,9 @@ class ShardedCorpus:
         with self._lock:
             cached = self._cache.get(shard_index)
             if cached is not None:
+                if shard_index in self._prefetched:
+                    self._prefetched.remove(shard_index)
+                    self.prefetch_hits += 1
                 self._cache_order.remove(shard_index)
                 self._cache_order.append(shard_index)
                 return cached
@@ -396,7 +401,7 @@ class ShardedCorpus:
         return self.load_shard(self.shard_of(index))[index - start]
 
     def stats(self) -> Dict[str, int]:
-        """Shard-load counters (``prefetch_hits`` = loads served by the buffer,
+        """Shard-load counters (``prefetch_hits`` = loads served by a prefetch,
         ``prefetch_failures`` = background loads that raised)."""
         return {
             "loads": self.loads,

@@ -24,7 +24,6 @@ batch of sample indices.
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -33,13 +32,6 @@ import numpy as np
 
 from .. import nn
 from ..nn import Tensor
-from .parallel import (
-    DEFAULT_WORLD_SIZE,
-    WorkerPool,
-    partition_batch,
-    reduce_slices,
-    run_slices,
-)
 
 PathLike = Union[str, Path]
 
@@ -170,12 +162,6 @@ class TrainTask:
     """One trainable objective: data preparation, modules and loss."""
 
     name: str = "task"
-    #: Smallest slice the parallel engine may hand to :meth:`compute_loss`.
-    #: Batch-level losses (InfoNCE and friends) are degenerate below two
-    #: items; the engine then caps the number of gradient lanes for a batch
-    #: at ``len(batch) // min_slice_items`` — a pure function of the batch
-    #: length, so worker-count invariance is unaffected.
-    min_slice_items: int = 1
 
     def setup(self, rng: np.random.Generator) -> BatchPlan:
         """Prepare data / wrap modules; must be deterministic given ``rng``.
@@ -252,13 +238,6 @@ class TrainerConfig:
     save_final: bool = False                  # snapshot at the final step too
     max_steps: Optional[int] = None           # stop early at this global step
     seed: int = 0
-    # Data-parallel engine (see repro.train.parallel).  num_workers = 0 keeps
-    # the classic sequential path; num_workers >= 1 switches to the sliced
-    # engine (1 = in-process, >= 2 = spawned worker processes).  world_size
-    # fixes the slice decomposition/reduction tree (0 = DEFAULT_WORLD_SIZE):
-    # any num_workers <= world_size trains bit-identically.
-    num_workers: int = 0
-    world_size: int = 0
     # Numeric backend for the whole run ("reference", "fast", ...); None
     # inherits the process-wide active backend (REPRO_BACKEND / set_backend).
     backend: Optional[str] = None
@@ -282,22 +261,6 @@ class Trainer:
             raise ValueError(f"unknown optimizer {self.config.optimizer!r}")
         if self.config.lr_schedule not in ("constant", "cosine"):
             raise ValueError(f"unknown lr_schedule {self.config.lr_schedule!r}")
-        if self.config.num_workers < 0:
-            raise ValueError("num_workers must be >= 0")
-        if self.config.num_workers >= 1:
-            if self.config.grad_accumulation != 1:
-                raise ValueError(
-                    "grad_accumulation and the parallel engine are mutually "
-                    "exclusive: world_size slicing already decomposes the batch"
-                )
-            if self.config.num_workers > self._world_size():
-                raise ValueError(
-                    f"num_workers={self.config.num_workers} exceeds "
-                    f"world_size={self._world_size()}; extra workers would idle"
-                )
-
-    def _world_size(self) -> int:
-        return self.config.world_size or DEFAULT_WORLD_SIZE
 
     # ------------------------------------------------------------------
     def _build_optimizer(self, parameters: Sequence[Tensor]) -> nn.Optimizer:
@@ -334,8 +297,7 @@ class Trainer:
         state: Dict[str, object] = {
             "step": step,
             "task": self.task.name,
-            "engine": "parallel" if self.config.num_workers >= 1 else "sequential",
-            "world_size": self._world_size() if self.config.num_workers >= 1 else 0,
+            "engine": "sequential",
             "plan_kind": type(plan).__name__,
             "plan_shard_size": int(getattr(plan, "shard_size", 0)),
             "rng": rng.bit_generator.state,
@@ -367,25 +329,15 @@ class Trainer:
         state = nn.load_training_checkpoint(
             path, self.task.modules(), optimizer, expected_metadata=self.metadata
         )
-        # A checkpoint resumes bit-identically only under the same batch
-        # decomposition: the sequential and parallel engines differentiate
-        # different computation graphs, and two world sizes reduce different
-        # trees.  Refuse loudly instead of diverging silently.
+        # Older releases also had a sliced data-parallel engine whose
+        # checkpoints differentiate a different computation graph; resuming
+        # one here would diverge silently, so refuse it.
         saved_engine = str(state.get("engine", "sequential"))
-        current_engine = "parallel" if self.config.num_workers >= 1 else "sequential"
-        if saved_engine != current_engine:
+        if saved_engine != "sequential":
             raise ValueError(
-                f"checkpoint {path} was written by the {saved_engine} engine but "
-                f"this run uses the {current_engine} engine; a resumed run would "
-                "not match the original. Restart without resume or match the "
-                "num_workers setting."
-            )
-        saved_world = int(state.get("world_size", 0))
-        if current_engine == "parallel" and saved_world != self._world_size():
-            raise ValueError(
-                f"checkpoint {path} was written with world_size={saved_world} but "
-                f"this run uses world_size={self._world_size()}; the gradient "
-                "reduction trees differ, so a resumed run would not match."
+                f"checkpoint {path} was written by the {saved_engine} engine, which "
+                "this release no longer has; a resumed run would not match the "
+                "original. Restart without resume."
             )
         # The minibatch schedule must match too: a sharded checkpoint resumed
         # without --shard-size (or with a different one) would draw entirely
@@ -420,8 +372,6 @@ class Trainer:
         return int(state["step"])
 
     # ------------------------------------------------------------------
-    # Step implementations (sequential / sliced-parallel)
-    # ------------------------------------------------------------------
     def _sequential_step(
         self,
         indices: np.ndarray,
@@ -449,51 +399,6 @@ class Trainer:
                 step_parts[name] = step_parts.get(name, 0.0) + value / len(chunks)
         return step_loss, step_parts
 
-    def _parallel_step(
-        self,
-        step: int,
-        indices: np.ndarray,
-        parameters: Sequence[Tensor],
-        pool: Optional[WorkerPool],
-    ) -> Optional[Tuple[float, Dict[str, float]]]:
-        """Sliced data-parallel step: per-slice gradients, ordered all-reduce.
-
-        The slice decomposition, per-slice RNG streams and pairwise reduction
-        tree depend only on ``world_size``, so the result is bit-identical
-        whether the slices run in-process (``pool=None``) or on any number of
-        spawned workers.
-        """
-        config = self.config
-        min_items = max(1, int(getattr(self.task, "min_slice_items", 1)))
-        lanes = max(1, min(self._world_size(), len(indices) // min_items))
-        slices = partition_batch(indices, lanes)
-        assignments = [
-            (slice_id, chunk, len(chunk) / len(indices))
-            for slice_id, chunk in enumerate(slices)
-            if len(chunk)
-        ]
-        if pool is not None:
-            results = pool.run_step(step, assignments, [p.data for p in parameters])
-        else:
-            results = run_slices(self.task, parameters, config.seed, step, assignments)
-        reduced = reduce_slices(results, len(parameters))
-        if reduced is None:
-            return None
-        step_loss, step_parts, grads = reduced
-        for param, grad in zip(parameters, grads):
-            param.grad = grad
-        return step_loss, step_parts
-
-    def _build_pool(self) -> Optional[WorkerPool]:
-        """Spawn the worker pool (post-setup task snapshot); None in-process."""
-        if self.config.num_workers < 2:
-            return None
-        return WorkerPool(
-            pickle.dumps(self.task),
-            num_workers=self.config.num_workers,
-            seed=self.config.seed,
-        )
-
     # ------------------------------------------------------------------
     def run(self, resume: bool = False) -> TrainResult:
         """Train to completion (or ``max_steps``); optionally resume first.
@@ -504,10 +409,6 @@ class Trainer:
         LR-schedule step, in-flight epoch permutation, RNG state and the loss
         history are all restored.
 
-        With ``num_workers >= 1`` the sliced data-parallel engine runs the
-        step (see :mod:`repro.train.parallel`); the worker pool (if any) lives
-        for the duration of this call.
-
         The entire run — forwards, backwards and optimiser commits — executes
         under ``config.backend`` (``None`` inherits the active backend).
         """
@@ -516,7 +417,6 @@ class Trainer:
 
     def _run(self, resume: bool) -> TrainResult:
         config = self.config
-        parallel = config.num_workers >= 1
         rng = np.random.default_rng(config.seed)
         plan = self.task.setup(rng)
         parameters = self.task.trainable_parameters()
@@ -539,38 +439,30 @@ class Trainer:
         result.checkpoint_path = checkpoint_path
 
         stop_at = total_steps if config.max_steps is None else min(total_steps, config.max_steps)
-        pool = self._build_pool() if parallel and step < stop_at else None
-        try:
-            while step < stop_at:
-                indices = plan.batch_indices(step, rng)
-                if indices is not None:
-                    if parallel:
-                        outcome = self._parallel_step(step, indices, parameters, pool)
-                    else:
-                        outcome = self._sequential_step(indices, optimizer, rng)
-                    if outcome is not None:
-                        step_loss, step_parts = outcome
-                        if config.global_grad_clip is not None:
-                            nn.clip_grad_norm(parameters, config.global_grad_clip)
-                        optimizer.step()
-                        lr = schedule.step()
-                        result.losses.append(step_loss)
-                        result.learning_rates.append(lr)
-                        for name, value in step_parts.items():
-                            result.objective_losses.setdefault(name, []).append(value)
-                step += 1
-                if (
-                    checkpoint_path is not None
-                    and config.checkpoint_every
-                    and step % config.checkpoint_every == 0
-                    and step < total_steps
-                ):
-                    self._save_checkpoint(
-                        checkpoint_path, step, optimizer, schedule, plan, rng, result
-                    )
-        finally:
-            if pool is not None:
-                pool.close()
+        while step < stop_at:
+            indices = plan.batch_indices(step, rng)
+            if indices is not None:
+                outcome = self._sequential_step(indices, optimizer, rng)
+                if outcome is not None:
+                    step_loss, step_parts = outcome
+                    if config.global_grad_clip is not None:
+                        nn.clip_grad_norm(parameters, config.global_grad_clip)
+                    optimizer.step()
+                    lr = schedule.step()
+                    result.losses.append(step_loss)
+                    result.learning_rates.append(lr)
+                    for name, value in step_parts.items():
+                        result.objective_losses.setdefault(name, []).append(value)
+            step += 1
+            if (
+                checkpoint_path is not None
+                and config.checkpoint_every
+                and step % config.checkpoint_every == 0
+                and step < total_steps
+            ):
+                self._save_checkpoint(
+                    checkpoint_path, step, optimizer, schedule, plan, rng, result
+                )
 
         result.steps = step
         result.epochs = plan.epochs_completed(step)

@@ -56,16 +56,14 @@ class TestPretrainAndEmbedCommands:
         assert "checkpoint written" in stdout
         assert "embeddings written" in stdout
 
-    def test_pretrain_with_workers_and_shards(self, tmp_path, capsys):
-        # The data-parallel engine + sharded corpus reached from the CLI:
-        # --num-workers spawns real worker processes, --shard-size streams
-        # the training corpora from on-disk shards under --cache-dir.
+    def test_pretrain_with_shards(self, tmp_path, capsys):
+        # --shard-size streams the training corpora from on-disk shards
+        # under --cache-dir.
         checkpoint = tmp_path / "model.npz"
         cache = tmp_path / "cache"
         assert main([
             "pretrain", "--output", str(checkpoint), "--preset", "fast",
-            "--designs-per-suite", "1", "--seed", "1",
-            "--num-workers", "2", "--world-size", "2", "--shard-size", "16",
+            "--designs-per-suite", "1", "--seed", "1", "--shard-size", "16",
             "--cache-dir", str(cache),
         ]) == 0
         assert checkpoint.exists()

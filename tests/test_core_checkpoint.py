@@ -21,6 +21,15 @@ class TestConfigSerialisation:
         assert rebuilt.expr_pretrain == config.expr_pretrain
         assert rebuilt.tag_pretrain == config.tag_pretrain
 
+    def test_config_saved_with_data_parallel_settings_still_loads(self):
+        """Earlier releases saved ``num_workers``/``world_size`` in both
+        pre-training configs; those keys are dropped on load."""
+        config = NetTAGConfig.fast(seed=2)
+        data = config.to_dict()
+        for section in ("expr_pretrain", "tag_pretrain"):
+            data[section] = dict(data[section], num_workers=2, world_size=4)
+        assert NetTAGConfig.from_dict(data) == config
+
 
 class TestModelCheckpoint:
     def test_untrained_model_round_trip(self, comb_netlist, tmp_path):
@@ -46,6 +55,20 @@ class TestModelCheckpoint:
         nodes, graph = restored.encode_tag_multigrained(tag)
         assert np.allclose(nodes, reference_nodes, atol=1e-8)
         assert np.allclose(graph, reference_graph, atol=1e-8)
+
+    def test_model_saved_with_data_parallel_settings_loads(self, tmp_path):
+        from repro import nn
+
+        model = NetTAG(NetTAGConfig.fast(seed=5), rng=np.random.default_rng(5))
+        config = model.config.to_dict()
+        for section in ("expr_pretrain", "tag_pretrain"):
+            config[section] = dict(config[section], num_workers=0, world_size=0)
+        path = nn.save_checkpoint(
+            model, tmp_path / "earlier.npz", metadata={"config": config, "preset": "fast"}
+        )
+        restored = NetTAG.load(path)
+        assert restored.config == model.config
+        assert restored.fingerprint() == model.fingerprint()
 
     def test_load_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):

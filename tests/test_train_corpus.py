@@ -68,6 +68,19 @@ class TestShardedCorpus:
         corpus.prefetch(4)
         assert corpus.load_shard(4) == ITEMS[20:]
 
+    def test_prefetch_finished_before_the_next_hint_still_counts(self, tmp_path):
+        # A prefetch that completes before the next prefetch() call is folded
+        # into the LRU by that call; serving it later is still a prefetch hit.
+        corpus = ShardedCorpus.build(ITEMS, tmp_path, name="t", shard_size=5)
+        corpus.prefetch(1)
+        corpus._prefetch_thread.join()
+        corpus.prefetch(2)
+        assert corpus.load_shard(1) == ITEMS[5:10]
+        assert corpus.stats()["prefetch_hits"] == 1
+        # A second load of the same shard is a plain cache hit.
+        corpus.load_shard(1)
+        assert corpus.stats()["prefetch_hits"] == 1
+
     def test_build_or_open_is_idempotent(self, tmp_path):
         first = ShardedCorpus.build_or_open(ITEMS, tmp_path, name="t", shard_size=6)
         manifest_written = first.manifest_path.read_text()

@@ -9,6 +9,7 @@ stage timers).
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -95,6 +96,55 @@ class TestExprPretrainerResume:
         assert any("lora_" in name for name, _ in fresh.named_parameters())
 
 
+def _rewrite_train_state(path: Path, **updates) -> None:
+    """Overwrite keys of a training checkpoint's saved engine state."""
+    with np.load(path) as archive:
+        payload = {name: archive[name] for name in archive.files}
+    blob = json.loads(payload["__train_state__"].tobytes().decode("utf-8"))
+    blob["state"].update(updates)
+    payload["__train_state__"] = np.frombuffer(json.dumps(blob).encode("utf-8"), dtype=np.uint8)
+    with open(path, "wb") as handle:
+        np.savez(handle, **payload)
+
+
+class TestResumeGuards:
+    """A checkpoint resumes only under the schedule and engine that wrote it."""
+
+    def _interrupted(self, tmp_path, **config_overrides):
+        config = ExprPretrainConfig(num_steps=6, batch_size=4, seed=3, **config_overrides)
+        ckpt = tmp_path / "expr.ckpt.npz"
+        model = ExprLLM(TextEncoderConfig.preset("small"), rng=np.random.default_rng(0))
+        ExprLLMPretrainer(model, config).run(
+            EXPRESSIONS, checkpoint_path=ckpt, checkpoint_every=1, max_steps=2,
+            shard_dir=tmp_path / "shards",
+        )
+        return ckpt
+
+    def _resume(self, tmp_path, ckpt, **config_overrides):
+        config = ExprPretrainConfig(num_steps=6, batch_size=4, seed=3, **config_overrides)
+        model = ExprLLM(TextEncoderConfig.preset("small"), rng=np.random.default_rng(0))
+        return ExprLLMPretrainer(model, config).run(
+            EXPRESSIONS, checkpoint_path=ckpt, resume=True, shard_dir=tmp_path / "shards",
+        )
+
+    def test_parallel_engine_checkpoint_is_refused(self, tmp_path):
+        # Earlier releases wrote engine="parallel" checkpoints from a sliced
+        # data-parallel step; resuming one sequentially would diverge.
+        ckpt = self._interrupted(tmp_path)
+        _rewrite_train_state(ckpt, engine="parallel")
+        with pytest.raises(ValueError, match="parallel engine"):
+            self._resume(tmp_path, ckpt)
+
+    def test_shard_schedule_mismatch_is_refused(self, tmp_path):
+        # A sharded checkpoint resumed without sharding (or with another
+        # shard size) would silently draw different minibatches.
+        ckpt = self._interrupted(tmp_path, shard_size=8)
+        with pytest.raises(ValueError, match="ShardStreamPlan"):
+            self._resume(tmp_path, ckpt)
+        with pytest.raises(ValueError, match="shard_size"):
+            self._resume(tmp_path, ckpt, shard_size=4)
+
+
 _MATRIX_SCRIPT = textwrap.dedent(
     """
     import sys
@@ -102,19 +152,14 @@ _MATRIX_SCRIPT = textwrap.dedent(
     from repro.encoders import ExprLLM, TextEncoderConfig
     from repro.pretrain import ExprLLMPretrainer, ExprPretrainConfig
 
-    # The __main__ guard is load-bearing: the spawn start method re-imports
-    # this script in every worker process.
     if __name__ == "__main__":
-        num_workers, shard_dir, out_path = int(sys.argv[1]), sys.argv[2], sys.argv[3]
+        shard_dir, out_path = sys.argv[1], sys.argv[2]
         expressions = [
             "a & b", "a | !b", "a ^ (b & c)", "!(a | b) & c", "(a & b) | (c & d)",
             "!a ^ b", "a & (b | c)", "!(a ^ c)", "(a | b) ^ (c | d)", "a & b & c",
             "c | (a & !b)", "!(c & d) | a", "a ^ b ^ c", "(a | c) & (b | d)",
         ]
-        config = ExprPretrainConfig(
-            num_steps=4, batch_size=8, seed=5,
-            num_workers=num_workers, world_size=2, shard_size=8,
-        )
+        config = ExprPretrainConfig(num_steps=4, batch_size=8, seed=5, shard_size=8)
         model = ExprLLM(TextEncoderConfig.preset("small"), rng=np.random.default_rng(0))
         result = ExprLLMPretrainer(model, config).run(expressions, shard_dir=shard_dir)
         payload = {"losses": np.asarray(result.losses, dtype=np.float64)}
@@ -126,40 +171,36 @@ _MATRIX_SCRIPT = textwrap.dedent(
 
 
 class TestDeterminismMatrix:
-    """Loss curves and weights are invariant to PYTHONHASHSEED *and* workers.
+    """Loss curves and weights are invariant to PYTHONHASHSEED.
 
-    The acceptance criterion of the data-parallel engine: a short pre-train
-    run under three different hash seeds times {1, 2} worker processes — six
-    fresh interpreters — produces byte-identical loss curves and final
-    weights.  Hash-seed invariance guards against set/dict iteration order
-    leaking into training (the PR-2 ordered_signals bug class); worker
-    invariance is the parallel engine's ordered all-reduce contract.
+    A short shard-streamed pre-train run under three different hash seeds —
+    three fresh interpreters — produces byte-identical loss curves and final
+    weights.  This guards against set/dict iteration order leaking into
+    training (the ``WExpr.ordered_signals`` bug class).
     """
 
-    def test_hash_seed_times_worker_matrix_is_byte_identical(self, tmp_path):
+    def test_hash_seed_matrix_is_byte_identical(self, tmp_path):
         script = tmp_path / "matrix_run.py"
         script.write_text(_MATRIX_SCRIPT)
         repo_src = Path(__file__).resolve().parents[1] / "src"
 
         outputs = {}
         for hash_seed in ("0", "1", "31337"):
-            for workers in (1, 2):
-                out = tmp_path / f"run-h{hash_seed}-w{workers}.npz"
-                shard_dir = tmp_path / f"shards-h{hash_seed}-w{workers}"
-                env = dict(os.environ)
-                env["PYTHONHASHSEED"] = hash_seed
-                env["PYTHONPATH"] = str(repo_src) + os.pathsep + env.get("PYTHONPATH", "")
-                proc = subprocess.run(
-                    [sys.executable, str(script), str(workers), str(shard_dir), str(out)],
-                    capture_output=True, text=True, timeout=600, env=env,
-                )
-                assert proc.returncode == 0, (
-                    f"matrix run (hash seed {hash_seed}, {workers} workers) failed:\n"
-                    f"{proc.stdout}\n{proc.stderr}"
-                )
-                outputs[(hash_seed, workers)] = dict(np.load(out))
+            out = tmp_path / f"run-h{hash_seed}.npz"
+            shard_dir = tmp_path / f"shards-h{hash_seed}"
+            env = dict(os.environ)
+            env["PYTHONHASHSEED"] = hash_seed
+            env["PYTHONPATH"] = str(repo_src) + os.pathsep + env.get("PYTHONPATH", "")
+            proc = subprocess.run(
+                [sys.executable, str(script), str(shard_dir), str(out)],
+                capture_output=True, text=True, timeout=600, env=env,
+            )
+            assert proc.returncode == 0, (
+                f"matrix run (hash seed {hash_seed}) failed:\n{proc.stdout}\n{proc.stderr}"
+            )
+            outputs[hash_seed] = dict(np.load(out))
 
-        reference_key = ("0", 1)
+        reference_key = "0"
         reference = outputs[reference_key]
         assert len(reference["losses"]) == 4
         assert any(key.startswith("param::") for key in reference)
@@ -170,7 +211,7 @@ class TestDeterminismMatrix:
             for array_name, want in reference.items():
                 got = payload[array_name]
                 assert got.tobytes() == want.tobytes(), (
-                    f"{array_name} diverged for hash seed {key[0]}, {key[1]} workers"
+                    f"{array_name} diverged for hash seed {key}"
                 )
 
 
