@@ -119,7 +119,7 @@ class AsyncFrontend:
         self._closed = False
         self._idle = asyncio.Event()
         self._idle.set()
-        # Ingest calls block on the service's write lock (and approximate
+        # Ingest calls block on the service's locks (and approximate
         # query submissions on a searcher fit), so they run off-loop on
         # these workers.
         self._executor = ThreadPoolExecutor(

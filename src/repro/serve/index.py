@@ -37,8 +37,9 @@ import json
 import time
 import uuid
 import warnings
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -53,6 +54,9 @@ MANIFEST_NAME = "manifest.json"
 _FORMAT_VERSION = 2
 _READABLE_FORMAT_VERSIONS = (1, 2)
 _DTYPE = np.float32
+
+# One segment's search metadata: ``(keys, kinds_array, live_rows)``.
+Metadata = Tuple[List[str], np.ndarray, np.ndarray]
 
 
 def _library_version() -> str:
@@ -76,6 +80,7 @@ class _Shard:
         self._norms: Optional[np.ndarray] = None
         self._keys: Optional[List[str]] = None
         self._kinds: Optional[List[str]] = None
+        self._kinds_array: Optional[np.ndarray] = None
 
     @property
     def payload_path(self) -> Path:
@@ -109,6 +114,13 @@ class _Shard:
     def kinds(self) -> List[str]:
         self._load_meta()
         return self._kinds  # type: ignore[return-value]
+
+    @property
+    def kinds_array(self) -> np.ndarray:
+        """``kinds`` as an object array (built once: a shard never changes)."""
+        if self._kinds_array is None:
+            self._kinds_array = np.asarray(self.kinds, dtype=object)
+        return self._kinds_array
 
     @property
     def matrix(self) -> np.ndarray:
@@ -177,9 +189,17 @@ class EmbeddingIndex:
         # Random id from ``create`` (None for manifests that predate it): a
         # rebuild in place with the same shard layout still fingerprints anew.
         self._index_id = _index_id
-        self._search_cache: Optional[
-            Tuple[int, List, Dict[Tuple[str, str], Tuple[int, int]]]
-        ] = None
+        self._search_cache: Optional[Tuple[int, List[Metadata]]] = None
+        # Derived read state, maintained incrementally by every mutation and
+        # built from scratch only on first use (after ``open``/``compact``):
+        # ``_latest`` maps each live ``(key, kind)`` to its latest
+        # ``(segment, row)``, ``_shard_meta`` holds one ``(keys, kinds_array,
+        # live_rows)`` tuple per sealed shard (replaced, never mutated, so
+        # pinned snapshots keep their view) and ``_kinds_seen`` is every kind
+        # any row was added under (kind-less lookups probe each).
+        self._latest: Optional[Dict[Tuple[str, str], Tuple[int, int]]] = None
+        self._shard_meta: List[Metadata] = []
+        self._kinds_seen: Set[str] = set()
         self.directory.mkdir(parents=True, exist_ok=True)
 
     # ------------------------------------------------------------------
@@ -200,6 +220,54 @@ class EmbeddingIndex:
     def _is_dead(self, key: str, kind: str) -> bool:
         """Whether the ``(key, kind)`` row is tombstoned (wildcards included)."""
         return (key, kind) in self._tombstones or (key, None) in self._tombstones
+
+    # ------------------------------------------------------------------
+    # Derived read state
+    # ------------------------------------------------------------------
+    def _live(self) -> Dict[Tuple[str, str], Tuple[int, int]]:
+        """The latest-row map, built from scratch if nothing maintains it yet."""
+        if self._latest is None:
+            self._rebuild_live()
+        return self._latest  # type: ignore[return-value]
+
+    def _rebuild_live(self) -> None:
+        """One pass over every row: the latest-row map and per-shard metadata."""
+        latest: Dict[Tuple[str, str], Tuple[int, int]] = {}
+        segments = [(shard.keys, shard.kinds) for shard in self._shards]
+        segments.append((self._pending_keys, self._pending_kinds))
+        for segment, (keys, kinds) in enumerate(segments):
+            rows = zip(zip(keys, kinds), zip(repeat(segment), range(len(keys))))
+            if self._tombstones:
+                rows = ((pair, position) for pair, position in rows if not self._is_dead(*pair))
+            latest.update(rows)  # a later row of a pair overwrites its earlier one
+        # Live rows per sealed shard: the latest positions, sorted by
+        # (segment, row) and cut at segment boundaries.
+        positions = np.fromiter(
+            chain.from_iterable(latest.values()), dtype=np.int64, count=2 * len(latest)
+        ).reshape(-1, 2)
+        positions = positions[np.lexsort((positions[:, 1], positions[:, 0]))]
+        bounds = np.searchsorted(positions[:, 0], np.arange(len(self._shards) + 1))
+        self._shard_meta = [
+            (shard.keys, shard.kinds_array, positions[bounds[s] : bounds[s + 1], 1].copy())
+            for s, shard in enumerate(self._shards)
+        ]
+        self._kinds_seen = set().union(*(kinds for _, kinds in segments))
+        self._latest = latest
+
+    def _drop_live(self, positions: Iterable[Tuple[int, int]]) -> None:
+        """Take superseded or removed sealed rows out of their shard's live rows.
+
+        Copy-on-write: the touched shard gets a new tuple, so a snapshot that
+        already holds the old one keeps seeing the row.  Pending positions
+        are ignored (the pending tail's live rows are derived per snapshot).
+        """
+        by_segment: Dict[int, List[int]] = {}
+        for segment, row in positions:
+            if segment < len(self._shards):
+                by_segment.setdefault(segment, []).append(row)
+        for segment, rows in by_segment.items():
+            keys, kinds_array, live = self._shard_meta[segment]
+            self._shard_meta[segment] = (keys, kinds_array, live[~np.isin(live, rows)])
 
     # ------------------------------------------------------------------
     # Construction
@@ -285,6 +353,21 @@ class EmbeddingIndex:
             _index_id=manifest.get("index_id"),
         )
 
+    def _adopt_shards(self, previous: "EmbeddingIndex") -> None:
+        """Reuse the loaded shards of an earlier open of this same index.
+
+        Shards are immutable, so a shard ``previous`` holds under a name and
+        row count this manifest still lists is the same shard: its mmap,
+        norms and metadata carry over and only new shards are read.  Call
+        before the first read.  Nothing is adopted across indexes (a
+        ``create(overwrite=True)`` restarts shard names under a new id) or
+        from a manifest without an id.
+        """
+        if self._index_id is None or previous._index_id != self._index_id:
+            return
+        loaded = {(shard.name, shard.count): shard for shard in previous._shards}
+        self._shards = [loaded.get((shard.name, shard.count), shard) for shard in self._shards]
+
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
@@ -316,6 +399,9 @@ class EmbeddingIndex:
             kinds = [kinds] * len(keys)
         elif len(kinds) != len(keys):
             raise ValueError(f"got {len(kinds)} kinds for {len(keys)} keys")
+        latest = self._live()
+        pending_segment = len(self._shards)
+        superseded: List[Tuple[int, int]] = []
         for key, kind, row in zip(keys, kinds, embeddings):
             key, kind = str(key), str(kind)
             self._tombstones.discard((key, kind))
@@ -328,9 +414,16 @@ class EmbeddingIndex:
                 ):
                     if existing_key == key and existing_kind != kind:
                         self._tombstones.add((key, existing_kind))
+            pair = (key, kind)
+            previous = latest.get(pair)
+            if previous is not None:
+                superseded.append(previous)
+            latest[pair] = (pending_segment, len(self._pending_keys))
+            self._kinds_seen.add(kind)
             self._pending_keys.append(key)
             self._pending_kinds.append(kind)
             self._pending_rows.append(np.asarray(row, dtype=_DTYPE))
+        self._drop_live(superseded)
         self._generation += 1
         while len(self._pending_keys) >= self.shard_size:
             self._seal(self.shard_size)
@@ -343,29 +436,33 @@ class EmbeddingIndex:
         row keeps its ``"cone"``/``"rtl"`` partners retrievable.  Returns the
         number of live ``(key, kind)`` entries tombstoned.
         """
-        targets = set(keys)
-        removed = 0
-        for _, _, row_key, row_kind in self._iter_rows(include_tombstoned=False):
-            if row_key not in targets or (kind is not None and row_kind != kind):
-                continue
-            if (row_key, row_kind) not in self._tombstones:
-                self._tombstones.add((row_key, row_kind))
-                removed += 1
-        if removed:
+        latest = self._live()
+        kinds = [kind] if kind is not None else list(self._kinds_seen)
+        dead: List[Tuple[int, int]] = []
+        for key in set(keys):
+            for row_kind in kinds:
+                position = latest.pop((key, row_kind), None)
+                if position is not None:
+                    self._tombstones.add((key, row_kind))
+                    dead.append(position)
+        if dead:
             self._generation += 1
-            # Pending rows can be dropped immediately — they are not on disk yet.
-            kept = [
-                (k, knd, row)
-                for k, knd, row in zip(
-                    self._pending_keys, self._pending_kinds, self._pending_rows
-                )
-                if not self._is_dead(k, knd)
-            ]
-            self._pending_keys = [k for k, _, _ in kept]
-            self._pending_kinds = [knd for _, knd, _ in kept]
-            self._pending_rows = [row for _, _, row in kept]
+            self._drop_live(dead)
+            # Pending rows can be dropped immediately — they are not on disk
+            # yet; the survivors' latest-row positions move down with them.
+            segment = len(self._shards)
+            kept = [r for r, pair in enumerate(zip(self._pending_keys, self._pending_kinds))
+                    if not self._is_dead(*pair)]
+            self._pending_keys = [self._pending_keys[r] for r in kept]
+            self._pending_kinds = [self._pending_kinds[r] for r in kept]
+            self._pending_rows = [self._pending_rows[r] for r in kept]
+            for new, (old, pair) in enumerate(
+                zip(kept, zip(self._pending_keys, self._pending_kinds))
+            ):
+                if latest.get(pair) == (segment, old):
+                    latest[pair] = (segment, new)
             self._write_manifest()
-        return removed
+        return len(dead)
 
     def _next_shard_name(self) -> str:
         """First shard id not used by the manifest *or* any file on disk.
@@ -406,16 +503,32 @@ class EmbeddingIndex:
             tmp.write_text(json.dumps(meta))
 
         atomic_write(shard.meta_path, shard.meta_path.name + ".tmp", _write_meta)
+        shard._keys, shard._kinds = list(keys), list(kinds)
         return shard
 
     def _seal(self, count: int) -> None:
-        """Write the first ``count`` pending rows as a new shard."""
+        """Write the first ``count`` pending rows as a new shard.
+
+        The sealed rows keep their segment number (the pending tail's), so
+        only the rows still pending after a partial seal are renumbered.
+        """
+        latest = self._live()
         shard = self._write_shard(
             self._pending_keys[:count],
             self._pending_kinds[:count],
             self._pending_rows[:count],
         )
+        segment = len(self._shards)
+        pairs = list(zip(self._pending_keys, self._pending_kinds))
+        live = np.fromiter(
+            (r for r, pair in enumerate(pairs[:count]) if latest.get(pair) == (segment, r)),
+            dtype=np.int64,
+        )
+        for r, pair in enumerate(pairs[count:], start=count):
+            if latest.get(pair) == (segment, r):
+                latest[pair] = (segment + 1, r - count)
         self._shards.append(shard)
+        self._shard_meta.append((shard.keys, shard.kinds_array, live))
         del self._pending_keys[:count]
         del self._pending_kinds[:count]
         del self._pending_rows[:count]
@@ -462,14 +575,12 @@ class EmbeddingIndex:
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         """Number of live entries (unique ``(key, kind)`` pairs)."""
-        seen: Dict[Tuple[str, str], None] = {}
-        for _, _, key, kind in self._iter_rows(include_tombstoned=False):
-            seen.setdefault((key, kind), None)
-        return len(seen)
+        return len(self._live())
 
     def __contains__(self, key: str) -> bool:
         """Whether ``key`` is live under *any* kind."""
-        return any(row_key == key for _, _, row_key, _ in self._iter_rows())
+        latest = self._live()
+        return any((key, kind) in latest for kind in self._kinds_seen)
 
     def keys(self, kind: Optional[str] = None) -> List[str]:
         """Live keys, first-added order, duplicates collapsed.
@@ -502,25 +613,15 @@ class EmbeddingIndex:
         ``kind`` selects one namespace; without it the latest live row of any
         kind wins (the only row there is, for single-modality indexes).
         """
-        for r in range(len(self._pending_keys) - 1, -1, -1):
-            row_kind = self._pending_kinds[r]
-            if (
-                self._pending_keys[r] == key
-                and (kind is None or row_kind == kind)
-                and not self._is_dead(key, row_kind)
-            ):
-                return np.asarray(self._pending_rows[r], dtype=np.float64).copy()
-        for shard in reversed(self._shards):
-            keys = shard.keys
-            kinds = shard.kinds
-            for r in range(len(keys) - 1, -1, -1):
-                if (
-                    keys[r] == key
-                    and (kind is None or kinds[r] == kind)
-                    and not self._is_dead(key, kinds[r])
-                ):
-                    return np.asarray(shard.matrix[r], dtype=np.float64)
-        return None
+        latest = self._live()
+        kinds = [kind] if kind is not None else self._kinds_seen
+        positions = [latest[(key, k)] for k in kinds if (key, k) in latest]
+        if not positions:
+            return None
+        segment, row = max(positions)
+        if segment == len(self._shards):
+            return np.asarray(self._pending_rows[row], dtype=np.float64).copy()
+        return np.asarray(self._shards[segment].matrix[row], dtype=np.float64)
 
     def iter_segments(
         self,
@@ -589,68 +690,63 @@ class EmbeddingIndex:
             digest.update(np.asarray(row, dtype=_DTYPE).tobytes())
         return digest.hexdigest()
 
-    def search_metadata(self) -> List[Tuple[List[str], np.ndarray, np.ndarray]]:
+    def search_metadata(self) -> List[Metadata]:
         """Per-segment ``(keys, kinds_array, live_rows)``, cached per generation.
 
         ``live_rows`` holds the row indices whose key's *latest* live row is
         that row — tombstoned keys and superseded duplicates excluded — so
         search paths get their masking as one cached array instead of
         re-deriving it with a Python scan per query.  Segment order matches
-        :meth:`iter_segments`.
+        :meth:`iter_segments`.  Sealed shards' tuples are maintained by the
+        mutations themselves, so this costs O(#shards + pending rows).
         """
         if self._search_cache is not None and self._search_cache[0] == self._generation:
             return self._search_cache[1]
-        latest: Dict[Tuple[str, str], Tuple[int, int]] = {}
-        for segment, row, key, kind in self._iter_rows(include_tombstoned=False):
-            latest[(key, kind)] = (segment, row)
-        metadata: List[Tuple[List[str], np.ndarray, np.ndarray]] = []
-
-        def _build(segment: int, keys: Sequence[str], kinds: Sequence[str]) -> None:
+        latest = self._live()
+        metadata = list(self._shard_meta)
+        if self._pending_keys:
+            segment = len(self._shards)
             live = np.fromiter(
                 (
                     r
-                    for r, (key, kind) in enumerate(zip(keys, kinds))
-                    if latest.get((key, kind)) == (segment, r)
+                    for r, pair in enumerate(zip(self._pending_keys, self._pending_kinds))
+                    if latest.get(pair) == (segment, r)
                 ),
                 dtype=np.int64,
             )
-            metadata.append((list(keys), np.asarray(list(kinds), dtype=object), live))
-
-        for segment, shard in enumerate(self._shards):
-            _build(segment, shard.keys, shard.kinds)
-        if self._pending_keys:
-            _build(len(self._shards), self._pending_keys, self._pending_kinds)
-        self._search_cache = (self._generation, metadata, latest)
+            kinds_array = np.asarray(self._pending_kinds, dtype=object)
+            metadata.append((list(self._pending_keys), kinds_array, live))
+        self._search_cache = (self._generation, metadata)
         return metadata
 
     def live_row_map(self) -> Dict[Tuple[str, str], Tuple[int, int]]:
-        """``(key, kind) -> (segment, row)`` of each live entry's latest row."""
-        self.search_metadata()
-        assert self._search_cache is not None
-        return self._search_cache[2]
+        """``(key, kind) -> (segment, row)`` of each live entry's latest row.
+
+        The index's own maintained map: read it, do not mutate it.
+        """
+        return self._live()
 
     def snapshot(self) -> "ReadSnapshot":
         """An immutable generation-pinned view for lock-free readers.
 
-        Sealed shards contribute their memory-mapped payloads directly (the
-        mapping stays valid while the snapshot is pinned — compaction defers
-        unlinking via :class:`repro.serve.snapshot.SnapshotManager`); the
-        pending tail is materialised as a copy so later ``add`` calls cannot
-        leak into the view.  The snapshot duck-types the read surface of this
-        class (``dim``/``generation``/``iter_segments``/``search_metadata``/
-        ``live_row_map``), so :func:`repro.serve.search.exact_topk` and the
-        searchers' ``fit``/``sync`` run on it unchanged.
+        Sealed shards contribute their memory-mapped payloads and their
+        metadata tuples by reference (the mapping stays valid while the
+        snapshot is pinned — compaction defers unlinking via
+        :class:`repro.serve.snapshot.SnapshotManager`); only the pending tail
+        is materialised, as a copy, so later ``add`` calls cannot leak into
+        the view.  The snapshot duck-types the read surface of this class
+        (``dim``/``generation``/``iter_segments``/``search_metadata``), so
+        :func:`repro.serve.search.exact_topk` and the searchers'
+        ``fit``/``sync`` run on it unchanged.
         """
         from .snapshot import ReadSnapshot
 
         metadata = self.search_metadata()
-        segments = list(self.iter_segments())
         return ReadSnapshot(
             dim=self.dim,
             generation=self._generation,
-            segments=segments,
+            segments=list(self.iter_segments()),
             metadata=metadata,
-            live_map=self.live_row_map(),
             content_fingerprint=self.content_fingerprint(),
             directory=self.directory,
         )
@@ -716,6 +812,7 @@ class EmbeddingIndex:
         self._pending_kinds = []
         self._pending_rows = []
         self._tombstones = set()
+        self._latest = None  # rebuilt on first use, over the new layout
         self._generation += 1
         self._write_manifest()
         stale_paths = [

@@ -144,17 +144,23 @@ class ReadReplica:
                 index = EmbeddingIndex.open(
                     self.directory, expected_fingerprints=self._expected
                 )
+                if self._index is not None:
+                    # Shards the new manifest still lists keep their mmap,
+                    # norms and metadata: only new shards are read.
+                    index._adopt_shards(self._index)
                 # Materialise every mmap *now* (the snapshot touches each
                 # payload): after this, a writer-side unlink of any of these
                 # files is harmless — the mapping keeps the inode alive.
-                index.snapshot()
+                snapshot = index.snapshot()
             except (FileNotFoundError, IndexFormatError, OSError) as error:
                 last_error = error
                 time.sleep(self._retry_delay)
                 continue
             self._index = index
             self._token = token
-            self.read_path.snapshots.refresh(retire=None if initial else self._on_retire)
+            self.read_path.snapshots.publish(
+                snapshot, retire=None if initial else self._on_retire
+            )
             if not initial:
                 with self._stats_lock:
                     self._counters["reopens"] += 1

@@ -113,11 +113,12 @@ class NetTAGService:
     manager (or call :meth:`close`) so the worker drains and stops.
 
     Every method is safe to call from any thread, with a **read/write
-    split**: model forwards and index *mutations* are serialised by one
-    internal write lock (the model's LRU expression cache and the index's
-    pending buffers are not lock-free structures), while every *search* runs
-    lock-free on a generation-pinned :class:`ReadSnapshot` — queries never
-    block behind a bulk ingest, and :meth:`swap_index`/:meth:`swap_model`/
+    split**: model forwards are serialised by a model lock (the model's LRU
+    expression cache is not a lock-free structure) and index *mutations* by
+    a separate index lock, while every *search* runs lock-free on a
+    generation-pinned :class:`ReadSnapshot` — queries never block behind a
+    bulk ingest, a query's encode never waits behind :meth:`compact` or
+    :meth:`swap_index`, and :meth:`swap_index`/:meth:`swap_model`/
     :meth:`compact` are zero-downtime: in-flight readers finish on the
     snapshot they pinned, new requests land on the new one, and obsolete
     payload files are unlinked only when the old snapshot's last reader
@@ -140,13 +141,17 @@ class NetTAGService:
         # None inherits the process default; a model whose config pins its own
         # backend still wins (its scope nests inside this one).
         self.backend = backend
-        # Write lock: model forwards + index mutations only.  Reentrant
-        # (ingest paths nest encode + add), never held while *waiting* on a
-        # scheduler future (deadlock-free: the worker needs it to make
-        # progress), and never taken by the search paths — those pin a
-        # ReadSnapshot instead.  Every mutation republishes the read
-        # snapshot under it (the build walks the index's pending buffers).
-        self._lock = threading.RLock()
+        # Two locks, never held while *waiting* on a scheduler future
+        # (deadlock-free: the worker needs the model lock to make progress)
+        # and never taken by the search paths — those pin a ReadSnapshot.
+        # The model lock guards encodes and ``swap_model``; the index lock
+        # guards index mutations, snapshot republishing and ``swap_index``.
+        # An ingest encodes under the model lock and releases it before it
+        # takes the index lock, so a query's encode never queues behind a
+        # compact; ``swap_model`` and ``add_multimodal`` hold both, always
+        # taken model -> index.
+        self._model_lock = threading.RLock()
+        self._index_lock = threading.RLock()
         self.read_path = ReadPath(self._require_index)
         self._scheduler = BatchScheduler(
             self._flush,
@@ -199,14 +204,14 @@ class NetTAGService:
     def _pin_current(self):
         """Pin a snapshot that reflects the index's current generation.
 
-        The fast path never locks: writers republish inside the write lock,
+        The fast path never locks: writers republish inside the index lock,
         so the published snapshot is normally current.  If the index was
         mutated *directly* (``service.index.add(...)``), the stale snapshot
-        is detected here and rebuilt under the write lock once.
+        is detected here and rebuilt under the index lock once.
         """
         snapshots = self.read_path.snapshots
         if snapshots.current_generation() != self._require_index().generation:
-            with self._lock:
+            with self._index_lock:
                 # Re-check under the lock (the index may have been swapped
                 # or republished while we waited).
                 if snapshots.current_generation() != self._require_index().generation:
@@ -219,7 +224,7 @@ class NetTAGService:
     def _flush(self, requests: List[Tuple[str, object]]) -> List[object]:
         """One flush over ``("encode", (from_kind, item))`` and ``("query", QuerySpec)``.
 
-        Each source kind gets one batched encoder pass under the write lock
+        Each source kind gets one batched encoder pass under the model lock
         and the service backend (cone encodes and cone queries share one
         ``encode_batch``).  The queries then search one pinned snapshot,
         outside the lock, one search per ``(algorithm, k, to_kind)`` group.
@@ -236,7 +241,7 @@ class NetTAGService:
             by_source.setdefault(payload[0], []).append(position)  # both start (from_kind, item)
         vectors = {p: requests[p][1].item for p in by_source.pop(VECTOR_KIND, [])}
         if by_source:
-            with self._lock, use_backend(self.backend):
+            with self._model_lock, use_backend(self.backend):
                 for from_kind, positions in by_source.items():
                     encoded = self._encode(from_kind, [requests[p][1][1] for p in positions])
                     for position, value in zip(positions, encoded):
@@ -375,9 +380,10 @@ class NetTAGService:
         Row construction is delegated to :func:`encode_index_rows` (the
         single ingest convention, also used by ``NetTAGPipeline.build_index``).
         """
-        index = self._require_index()
-        with self._lock, use_backend(self.backend):
+        with self._model_lock, use_backend(self.backend):
             rows = encode_index_rows(self.model, netlists)
+        with self._index_lock:
+            index = self._require_index()
             if rows:
                 keys, kinds, vectors = zip(*rows)
                 index.add(list(keys), np.stack(vectors), kinds=list(kinds))
@@ -390,13 +396,18 @@ class NetTAGService:
         self, netlist_name: str, cones: Sequence["RegisterCone"], flush: bool = True
     ) -> int:
         """Encode register cones (one batched pass) and index them."""
-        index = self._require_index()
-        with self._lock, use_backend(self.backend):
-            vectors = self.model.encode_batch(list(cones))
+        self._require_index()
+        with self._model_lock, use_backend(self.backend):
+            vectors = [
+                self.model.pad_to_index_dim(vector)
+                for vector in self.model.encode_batch(list(cones))
+            ]
+        with self._index_lock:
+            index = self._require_index()
             for cone, vector in zip(cones, vectors):
                 index.add(
                     [cone_key(netlist_name, cone.register_name)],
-                    self.model.pad_to_index_dim(vector)[None, :],
+                    vector[None, :],
                     kinds=CONE_KIND,
                 )
             if flush:
@@ -476,7 +487,9 @@ class NetTAGService:
                     "projected with the old one; pass the full corpus (existing "
                     "designs included) or rebuild the index"
                 )
-        with self._lock, use_backend(self.backend):
+        # Both locks (model -> index): the refit heads project queries too,
+        # so no query may encode with them before the rows they fit are in.
+        with self._model_lock, use_backend(self.backend), self._index_lock:
             payload = encode_multimodal_rows(
                 self.crossmodal,
                 netlists,
@@ -508,7 +521,7 @@ class NetTAGService:
         # Query with each key's *latest live* row only (the cached search
         # metadata) — a superseded duplicate row must not report phantom
         # pairs for a vector that is no longer the key's value.  The whole
-        # scan runs on one pinned snapshot, outside the write lock.
+        # scan runs on one pinned snapshot, outside the service's locks.
         with self._pin_current() as snapshot:
             for keys, _, rows, block, norms in live_blocks(snapshot, kind):
                 hits = exact_topk(snapshot, block / norms[:, None], k=k + 1, kind=kind)
@@ -529,16 +542,15 @@ class NetTAGService:
         """Compact the index without ever yanking a payload from a reader.
 
         The index rewrite (new shards + manifest switch) happens under the
-        write lock, but the stale payload files are *not* unlinked there:
+        index lock, but the stale payload files are *not* unlinked there:
         their removal is registered as a retirement callback on the
         pre-compact snapshot and runs only when its last pinned reader
         releases — an in-flight query keeps streaming its memory-mapped
         shard until it finishes, on any platform.  Returns the compact
         counts (``rows_before``/``rows_after``/``tombstones_dropped``).
         """
-        index = self._require_index()
-        with self._lock:
-            result = index.compact(unlink_stale=False)
+        with self._index_lock:
+            result = self._require_index().compact(unlink_stale=False)
             stale_paths = list(result.pop("stale_paths", []))
 
             def _unlink_stale() -> None:
@@ -564,7 +576,7 @@ class NetTAGService:
                 f"cannot swap in a dim-{new_index.dim} index: the model's index "
                 f"dim is {self.model.index_dim}"
             )
-        with self._lock:
+        with self._index_lock:
             old_index = self.index
             self.index = new_index
             self.read_path.snapshots.refresh()
@@ -582,11 +594,13 @@ class NetTAGService:
     def swap_model(self, new_model: "NetTAG") -> "NetTAG":
         """Hot-swap the serving model checkpoint; returns the old model.
 
-        Taken between scheduler flushes (the write lock serialises against
+        Taken between scheduler flushes (the model lock serialises against
         the worker's batch callback), so no in-flight batch ever mixes
-        encoders.  The new checkpoint must target the same index dimension;
-        the index's provenance fingerprints are updated to the new model so
-        a later :meth:`open_index` validates against what actually serves.
+        encoders.  An ingest whose encode finished before the swap still
+        adds its rows after it, as if it had completed just before.  The new
+        checkpoint must target the same index dimension; the index's
+        provenance fingerprints are updated to the new model so a later
+        :meth:`open_index` validates against what actually serves.
         Existing index rows are *not* re-encoded — hot-swap is for
         same-space checkpoints (a fine-tuned refresh); a model that changes
         the embedding space needs a rebuilt index and :meth:`swap_index`.
@@ -596,7 +610,7 @@ class NetTAGService:
                 f"cannot hot-swap to a model with index_dim {new_model.index_dim}: "
                 f"the serving index dim is {self.model.index_dim}"
             )
-        with self._lock:
+        with self._model_lock, self._index_lock:
             old_model = self.model
             self.model = new_model
             if self.index is not None:
@@ -632,7 +646,7 @@ class NetTAGService:
         compact payloads) runs now — after the drain, no reader is left.
         """
         self._scheduler.close()
-        with self._lock:
+        with self._index_lock:
             if self.index is not None:
                 self.index.save()
         self.read_path.snapshots.shutdown()

@@ -6,10 +6,12 @@ split works like an MVCC storage engine:
 
 * :class:`ReadSnapshot` is an **immutable** view of one index generation:
   the segment list (memory-mapped shard payloads plus a materialised copy of
-  the pending tail) and the per-generation live-row metadata.  It duck-types
-  the read surface :func:`repro.serve.search.exact_topk` and the searchers'
-  ``fit`` consume (``dim`` / ``generation`` / ``iter_segments`` /
-  ``search_metadata``), so every search path runs unchanged on a snapshot.
+  the pending tail) and the per-segment search metadata, shared by reference
+  with the index (whose mutations replace a shard's metadata tuple, never
+  mutate it).  It duck-types the read surface
+  :func:`repro.serve.search.exact_topk` and the searchers' ``fit`` consume
+  (``dim`` / ``generation`` / ``iter_segments`` / ``search_metadata``), so
+  every search path runs unchanged on a snapshot.
 * :class:`SnapshotManager` hands out **pinned** snapshots to readers
   (refcounted context managers) and atomically publishes a new snapshot per
   mutation or hot-swap.  Readers in flight finish on the generation they
@@ -33,8 +35,9 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from .index import Metadata
+
 Segment = Tuple[List[str], List[str], np.ndarray, np.ndarray]
-Metadata = Tuple[List[str], np.ndarray, np.ndarray]
 
 
 class ReadSnapshot:
@@ -52,7 +55,6 @@ class ReadSnapshot:
         generation: int,
         segments: List[Segment],
         metadata: List[Metadata],
-        live_map: Dict[Tuple[str, str], Tuple[int, int]],
         content_fingerprint: Optional[str] = None,
         directory: Optional[Path] = None,
     ) -> None:
@@ -62,12 +64,7 @@ class ReadSnapshot:
         self.generation = int(generation)
         self._segments = list(segments)
         self._metadata = list(metadata)
-        self._live_map = dict(live_map)
         self._content_fingerprint = content_fingerprint
-
-    def __len__(self) -> int:
-        """Number of live ``(key, kind)`` entries at this generation."""
-        return len(self._live_map)
 
     def iter_segments(self) -> Iterator[Segment]:
         """Yield ``(keys, kinds, matrix, norms)`` per segment (search order)."""
@@ -76,10 +73,6 @@ class ReadSnapshot:
     def search_metadata(self) -> List[Metadata]:
         """Per-segment ``(keys, kinds_array, live_rows)``, frozen at pin time."""
         return self._metadata
-
-    def live_row_map(self) -> Dict[Tuple[str, str], Tuple[int, int]]:
-        """``(key, kind) -> (segment, row)`` of each live entry."""
-        return self._live_map
 
     def content_fingerprint(self) -> Optional[str]:
         """The index's content hash at pin time (``None`` for bare views)."""
@@ -112,8 +105,8 @@ class SnapshotManager:
 
     ``build`` produces a fresh :class:`ReadSnapshot` of the current index
     state; it runs under the caller's write lock (the service calls
-    :meth:`refresh` at the end of every mutation).  Readers call
-    :meth:`pin` — never the write lock — and the returned context manager
+    :meth:`refresh` under its index lock at the end of every mutation).
+    Readers call :meth:`pin` — never the write lock — and the returned context manager
     keeps the pinned generation's payload files alive until released.
     """
 
@@ -156,7 +149,12 @@ class SnapshotManager:
         new generation no longer references.  It runs immediately when no
         reader holds the old snapshot, else on the last release.
         """
-        snapshot = self._build()
+        return self.publish(self._build(), retire)
+
+    def publish(
+        self, snapshot: ReadSnapshot, retire: Optional[Callable[[], None]] = None
+    ) -> ReadSnapshot:
+        """Publish an already built ``snapshot``; ``retire`` as in :meth:`refresh`."""
         due: List[Callable[[], None]] = []
         with self._lock:
             previous = self._current

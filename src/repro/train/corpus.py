@@ -56,9 +56,7 @@ class ShardedCorpus:
     The corpus lives in one directory (its backing
     :class:`~repro.train.artifacts.ArtifactStore` root) under a ``name``; the
     manifest ``<name>.corpus.json`` lists per-shard lengths and content
-    fingerprints.  Instances are picklable: only the directory, name and
-    manifest are pickled — a copy reloads shard payloads from disk on
-    demand.
+    fingerprints.
     """
 
     def __init__(
@@ -77,9 +75,6 @@ class ShardedCorpus:
         if len(self.shard_lengths) != len(self.shard_digests):
             raise ValueError("shard_lengths and shard_digests must match")
         self._offsets = np.concatenate([[0], np.cumsum(self.shard_lengths)]).astype(np.int64)
-        self._init_runtime()
-
-    def _init_runtime(self) -> None:
         self._store = ArtifactStore(self.directory)
         self._cache: Dict[int, List[Any]] = {}
         self._cache_order: List[int] = []
@@ -95,27 +90,6 @@ class ShardedCorpus:
         self.loads = 0
         self.prefetch_hits = 0
         self.prefetch_failures = 0
-
-    # ------------------------------------------------------------------
-    # Pickling: a copy reopens the on-disk shards, never the live cache.
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> Dict[str, object]:
-        return {
-            "directory": str(self.directory),
-            "name": self.name,
-            "shard_lengths": self.shard_lengths,
-            "shard_digests": self.shard_digests,
-            "cache_shards": self.cache_shards,
-        }
-
-    def __setstate__(self, state: Mapping[str, object]) -> None:
-        self.directory = Path(state["directory"])
-        self.name = str(state["name"])
-        self.shard_lengths = [int(n) for n in state["shard_lengths"]]
-        self.shard_digests = list(state["shard_digests"])
-        self.cache_shards = int(state["cache_shards"])
-        self._offsets = np.concatenate([[0], np.cumsum(self.shard_lengths)]).astype(np.int64)
-        self._init_runtime()
 
     # ------------------------------------------------------------------
     # Construction

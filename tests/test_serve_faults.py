@@ -322,7 +322,6 @@ class TestRetirementCallbackFaults:
         return SnapshotManager(
             lambda: ReadSnapshot(
                 dim=2, generation=next(generations), segments=[], metadata=[],
-                live_map={},
             )
         )
 

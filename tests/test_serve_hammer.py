@@ -155,7 +155,7 @@ class TestGenerationConsistency:
             try:
                 for i in range(60):
                     pair = np.stack([marker, marker])
-                    with service._lock:
+                    with service._index_lock:
                         index.add([f"pair{i}_a", f"pair{i}_b"], pair, kinds="cone")
                         service.read_path.snapshots.refresh()
             except Exception as error:  # noqa: BLE001

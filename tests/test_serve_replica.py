@@ -144,6 +144,33 @@ class TestGenerationWatch:
             assert replica.check_for_update() is False
             assert replica.stats()["reopens"] == 1
 
+    def test_reopen_reads_only_the_newly_sealed_shard(self, tmp_path, monkeypatch):
+        from repro.serve.index import _Shard
+
+        directory = tmp_path / "ix"
+        writer = _build_index(directory, n=96, seed=4)
+        with ReadReplica(directory, watch=False) as replica:
+            read: list = []
+            load_meta = _Shard._load_meta
+
+            def recording_load_meta(shard):
+                if shard._keys is None:
+                    read.append(shard.name)
+                load_meta(shard)
+
+            monkeypatch.setattr(_Shard, "_load_meta", recording_load_meta)
+            rng = np.random.default_rng(8)
+            writer.add([f"new{i}" for i in range(8)], rng.normal(size=(8, DIM)), kinds="cone")
+            writer.save()
+            assert writer.num_shards == 4
+
+            assert replica.check_for_update() is True
+            assert read == [writer._shards[-1].name]
+            with replica.read_path.snapshots.pin() as snapshot:
+                assert len(snapshot.search_metadata()) == 4
+            hits = replica.query(writer.get("new3")[None, :], k=1, kind="cone")
+            assert hits[0][0].key == "new3"
+
     def test_watcher_thread_reopens_without_explicit_polls(self, tmp_path):
         directory = tmp_path / "ix"
         writer = _build_index(directory, n=48, seed=2)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pickle
-
 import numpy as np
 import pytest
 
@@ -125,15 +123,6 @@ class TestShardedCorpus:
         import hashlib
         payload = corpus._store.payload_path("t", "00000").read_bytes()
         assert corpus.shard_digests[0] == hashlib.sha256(payload).hexdigest()[:16]
-
-    def test_pickle_round_trip_reattaches_to_disk(self, tmp_path):
-        corpus = ShardedCorpus.build(ITEMS, tmp_path, name="t", shard_size=5)
-        corpus.fetch(range(10))  # warm the cache; it must not be pickled
-        clone = pickle.loads(pickle.dumps(corpus))
-        assert clone.stats() == {"loads": 0, "prefetch_hits": 0,
-                                 "prefetch_failures": 0}
-        assert clone.fetch([3, 12, 22]) == ["item-3", "item-12", "item-22"]
-        assert clone.fingerprint() == corpus.fingerprint()
 
     def test_invalid_shard_size(self, tmp_path):
         with pytest.raises(ValueError):
