@@ -82,9 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="snapshot the full training state every N optimiser steps")
     pretrain.add_argument("--resume", action="store_true",
                           help="resume an interrupted run from its training checkpoints")
-    pretrain.add_argument("--shard-size", type=int, default=0, metavar="N",
-                          help="stream the training corpora from on-disk shards of N items "
-                               "(0 = keep them in memory); shards live under --cache-dir")
 
     embed = subparsers.add_parser("embed", help="embed structural Verilog netlists")
     embed.add_argument("netlist", type=Path,
@@ -229,7 +226,6 @@ def _run_pretrain(args: argparse.Namespace) -> int:
             designs_per_suite=args.designs_per_suite,
             resume=args.resume,
             checkpoint_every=args.checkpoint_every,
-            shard_size=args.shard_size,
         )
     except KeyboardInterrupt:
         if checkpoint_dir is not None:

@@ -30,9 +30,9 @@ MODEL_SIZE_PARAMETER_LABELS: Dict[str, str] = {
 }
 
 
-# Pre-training settings of the removed data-parallel engine, still present in
-# configurations saved by earlier releases.
-_REMOVED_PRETRAIN_KEYS = ("num_workers", "world_size")
+# Pre-training settings of the removed data-parallel engine and sharded
+# corpus streaming, still present in configurations saved by earlier releases.
+_REMOVED_PRETRAIN_KEYS = ("num_workers", "world_size", "shard_size")
 
 
 def _without_removed_keys(section: Dict[str, object]) -> Dict[str, object]:
@@ -177,9 +177,9 @@ class NetTAGConfig:
         """Rebuild a configuration produced by :meth:`to_dict`.
 
         Models saved by releases that still had the data-parallel training
-        engine carry its settings (``_REMOVED_PRETRAIN_KEYS``) in both
-        pre-training configs; they never affect a trained model, so they are
-        dropped.
+        engine or sharded corpus streaming carry their settings
+        (``_REMOVED_PRETRAIN_KEYS``) in both pre-training configs; they do not
+        change how a trained model encodes, so they are dropped.
         """
         data = dict(data)
         expr = data.get("expr_pretrain")

@@ -375,7 +375,6 @@ class NetTAGPipeline:
         checkpoint_every: int = 0,
         stop_after: Optional[str] = None,
         max_steps: Optional[Mapping[str, int]] = None,
-        shard_size: int = 0,
     ) -> PretrainSummary:
         """Run the full two-step pre-training pipeline.
 
@@ -386,24 +385,9 @@ class NetTAGPipeline:
         the combined run is bit-identical to an uninterrupted one.
         ``stop_after`` / ``max_steps`` (a ``{stage: global step}`` mapping)
         stop early — useful to simulate interruption or budget a run.
-
-        ``shard_size > 0`` streams the training corpora from fingerprinted
-        on-disk shards (under ``cache_dir``/``checkpoint_dir`` when
-        available) instead of holding them in memory.  It changes the
-        minibatch schedule, so its loss curves differ from the in-memory
-        run's — but resume, caching and the determinism guarantees hold
-        within each setting.
         """
         if stop_after is not None and stop_after not in PIPELINE_STAGES:
             raise ValueError(f"unknown stage {stop_after!r}; choose from {PIPELINE_STAGES}")
-        from dataclasses import replace as _replace
-
-        shard_dir = None
-        if shard_size or self.config.expr_pretrain.shard_size or self.config.tag_pretrain.shard_size:
-            if self.artifacts.root is not None:
-                shard_dir = self.artifacts.root / "shards"
-            elif self.checkpoint_dir is not None:
-                shard_dir = self.checkpoint_dir / "shards"
         manifest: Optional[RunManifest] = None
         if self.checkpoint_dir is not None:
             run_key = fingerprint(
@@ -458,14 +442,10 @@ class NetTAGPipeline:
         # Stage: Step-1 expression contrastive pre-training of ExprLLM.
         if self.config.use_expression_contrastive:
             start = time.perf_counter()
-            expr_config = self.config.expr_pretrain
-            if shard_size:
-                expr_config = _replace(expr_config, shard_size=int(shard_size))
-            pretrainer = ExprLLMPretrainer(self.model.expr_llm, expr_config)
+            pretrainer = ExprLLMPretrainer(self.model.expr_llm, self.config.expr_pretrain)
             self.summary.expr_result = pretrainer.run(
                 expressions,
                 metadata=trainer_metadata,
-                shard_dir=shard_dir,
                 **self._trainer_stage_args(
                     STAGE_EXPR_PRETRAIN, manifest, resume, checkpoint_every, max_steps
                 ),
@@ -558,20 +538,16 @@ class NetTAGPipeline:
 
         # Stage: Step-2 TAGFormer pre-training (ExprLLM frozen).
         start = time.perf_counter()
-        tag_config = self.config.tag_pretrain_config()
-        if shard_size:
-            tag_config = _replace(tag_config, shard_size=int(shard_size))
         tag_trainer = TAGFormerPretrainer(
             self.model.tagformer,
             num_cell_types=len(type_index),
-            config=tag_config,
+            config=self.config.tag_pretrain_config(),
             rtl_dim=self.rtl_encoder.output_dim if self.rtl_encoder is not None else None,
             layout_dim=self.layout_encoder.output_dim if self.layout_encoder is not None else None,
         )
         self.summary.tag_result = tag_trainer.run(
             samples,
             metadata=trainer_metadata,
-            shard_dir=shard_dir,
             **self._trainer_stage_args(
                 STAGE_TAG_PRETRAIN, manifest, resume, checkpoint_every, max_steps
             ),

@@ -101,28 +101,6 @@ class Tensor:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # ------------------------------------------------------------------
-    # Pickling
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> Tuple[np.ndarray, Optional[np.ndarray], bool, str]:
-        """Pickle a tensor as a graph *leaf*.
-
-        The autograd closures (``_backward``/``_prev``) reference local
-        functions and cannot cross a process boundary; a pickled tensor
-        therefore carries only its value, gradient buffer and flags, and
-        the next forward on the unpickled copy rebuilds a fresh graph.
-        """
-        return (self.data, self.grad, self.requires_grad, self.name)
-
-    def __setstate__(self, state: Tuple[np.ndarray, Optional[np.ndarray], bool, str]) -> None:
-        data, grad, requires_grad, name = state
-        self.data = data
-        self.grad = grad
-        self.requires_grad = requires_grad
-        self.name = name
-        self._backward = lambda: None
-        self._prev = ()
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
 

@@ -11,10 +11,7 @@ loss instrumentation, periodic checkpointing, deterministic resume).
 
 from __future__ import annotations
 
-import hashlib
-import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -26,13 +23,10 @@ from ..nn import Tensor
 from ..train import (
     BatchPlan,
     EpochPlan,
-    ShardedCorpus,
-    ShardStreamPlan,
     Trainer,
     TrainerConfig,
     TrainResult,
     TrainTask,
-    fingerprint,
 )
 from .augment import mask_node_indices
 from .data import PretrainSample
@@ -67,9 +61,6 @@ class TAGPretrainConfig:
     size_weight: float = 0.5
     cross_stage_weight: float = 1.0
     seed: int = 0
-    # shard_size > 0 streams the Step-2 samples from fingerprinted on-disk
-    # shards (mirrors ExprPretrainConfig).
-    shard_size: int = 0
 
 
 @dataclass
@@ -92,87 +83,22 @@ class TAGPretrainResult:
 
 
 class TAGPretrainTask(TrainTask):
-    """Equation (8) multi-objective training as a shared-engine task.
-
-    With ``config.shard_size > 0`` and a ``shard_dir``, the pre-built Step-2
-    samples are written once into a fingerprinted
-    :class:`~repro.train.ShardedCorpus` and streamed shard-by-shard; the
-    in-memory sample list is dropped once the shards are written.
-    """
+    """Equation (8) multi-objective training as a shared-engine task."""
 
     name = "tag_pretrain"
 
     def __init__(
-        self,
-        pretrainer: "TAGFormerPretrainer",
-        samples: Sequence[PretrainSample],
-        shard_dir: Optional[Path] = None,
+        self, pretrainer: "TAGFormerPretrainer", samples: Sequence[PretrainSample]
     ) -> None:
         self.pretrainer = pretrainer
-        self.samples: Optional[List[PretrainSample]] = list(samples)
-        self.num_samples = len(self.samples)
-        self.shard_dir = Path(shard_dir) if shard_dir is not None else None
-        self.corpus: Optional[ShardedCorpus] = None
-
-    @property
-    def sharded(self) -> bool:
-        """Whether the samples stream from on-disk shards."""
-        return self.pretrainer.config.shard_size > 0 and self.shard_dir is not None
-
-    _SAMPLE_ARRAY_FIELDS = (
-        "text_embeddings", "semantic", "physical", "adjacency",
-        "cell_type_labels", "size_target",
-        "augmented_text_embeddings", "augmented_semantic", "augmented_physical",
-        "rtl_embedding", "layout_embedding",
-    )
-
-    def _corpus_name(self) -> str:
-        # Content-derived identity over *every* array field of every sample:
-        # a stale corpus from a different sample set (or any preprocessing
-        # change — physical features, label remaps, retrained alignment
-        # encoders) in the same directory can never be reused.
-        digest = hashlib.sha256()
-        assert self.samples is not None
-        for sample in self.samples:
-            digest.update(sample.name.encode("utf-8"))
-            for field_name in self._SAMPLE_ARRAY_FIELDS:
-                value = getattr(sample, field_name)
-                if value is None:
-                    digest.update(b"\0none")
-                else:
-                    digest.update(np.ascontiguousarray(value).tobytes())
-        key = fingerprint(
-            {
-                "samples": digest.hexdigest()[:16],
-                "count": self.num_samples,
-                "shard_size": self.pretrainer.config.shard_size,
-            }
-        )
-        return f"tag-samples-{key}"
+        self.samples: List[PretrainSample] = list(samples)
 
     def setup(self, rng: np.random.Generator) -> BatchPlan:
         self.pretrainer.tagformer.train()
         config = self.pretrainer.config
-        if self.sharded:
-            assert self.samples is not None and self.shard_dir is not None
-            self.corpus = ShardedCorpus.build_or_open(
-                self.samples,
-                self.shard_dir,
-                name=self._corpus_name(),
-                shard_size=config.shard_size,
-            )
-            self.samples = None  # streamed from disk, not materialised
-            # Batches with fewer than two graphs carry no contrastive signal.
-            return ShardStreamPlan(
-                len(self.corpus),
-                config.batch_size,
-                shard_size=config.shard_size,
-                num_epochs=config.num_epochs,
-                min_batch_size=2,
-                corpus=self.corpus,
-            )
+        # Batches with fewer than two graphs carry no contrastive signal.
         return EpochPlan(
-            self.num_samples,
+            len(self.samples),
             config.batch_size,
             config.num_epochs,
             min_batch_size=2,
@@ -194,12 +120,7 @@ class TAGPretrainTask(TrainTask):
         return self.pretrainer.parameters()
 
     def compute_loss(self, indices: np.ndarray, rng: np.random.Generator):
-        if self.corpus is not None:
-            batch = self.corpus.fetch(indices)
-        else:
-            assert self.samples is not None
-            batch = [self.samples[i] for i in indices]
-        return self.pretrainer.batch_loss(batch, rng)
+        return self.pretrainer.batch_loss([self.samples[i] for i in indices], rng)
 
     def finalize(self) -> None:
         self.pretrainer.tagformer.eval()
@@ -359,44 +280,32 @@ class TAGFormerPretrainer:
         resume: bool = False,
         max_steps: Optional[int] = None,
         metadata: Optional[Dict[str, object]] = None,
-        shard_dir=None,
     ) -> TAGPretrainResult:
         """Train on the pre-training samples; returns per-objective loss curves.
 
         Checkpoint/resume semantics match :class:`repro.train.Trainer`: the
         resumed run's curves and final weights are bit-identical to an
         uninterrupted run with the same samples and seed.
-
-        ``config.shard_size`` streams the sample corpus from on-disk shards in
-        ``shard_dir`` (a temporary directory when omitted).
         """
         config = self.config
         samples = [s for s in samples if s.num_nodes > 0]
         if len(samples) < 2:
             return TAGPretrainResult()
-        scratch: Optional[tempfile.TemporaryDirectory] = None
-        if config.shard_size > 0 and shard_dir is None:
-            scratch = tempfile.TemporaryDirectory(prefix="tag-shards-")
-            shard_dir = scratch.name
-        try:
-            task = TAGPretrainTask(self, samples, shard_dir=shard_dir)
-            trainer = Trainer(
-                task,
-                TrainerConfig(
-                    learning_rate=config.learning_rate,
-                    grad_clip=1.0,
-                    checkpoint_path=checkpoint_path,
-                    checkpoint_every=checkpoint_every,
-                    save_final=checkpoint_path is not None,
-                    max_steps=max_steps,
-                    seed=config.seed,
-                ),
-                metadata=metadata,
-            )
-            train_result = trainer.run(resume=resume)
-        finally:
-            if scratch is not None:
-                scratch.cleanup()
+        task = TAGPretrainTask(self, samples)
+        trainer = Trainer(
+            task,
+            TrainerConfig(
+                learning_rate=config.learning_rate,
+                grad_clip=1.0,
+                checkpoint_path=checkpoint_path,
+                checkpoint_every=checkpoint_every,
+                save_final=checkpoint_path is not None,
+                max_steps=max_steps,
+                seed=config.seed,
+            ),
+            metadata=metadata,
+        )
+        train_result = trainer.run(resume=resume)
         self.last_train_result = train_result
         return TAGPretrainResult(
             total_losses=list(train_result.losses),

@@ -65,6 +65,14 @@ def _library_version() -> str:
     return __version__
 
 
+def _shard_id(name: str) -> int:
+    """The number in a ``shard-NNNNN`` name (-1 for any other name)."""
+    try:
+        return int(name.split("-")[1])
+    except (IndexError, ValueError):
+        return -1
+
+
 class IndexFormatError(RuntimeError):
     """The directory does not hold a readable embedding index."""
 
@@ -200,6 +208,9 @@ class EmbeddingIndex:
         self._latest: Optional[Dict[Tuple[str, str], Tuple[int, int]]] = None
         self._shard_meta: List[Metadata] = []
         self._kinds_seen: Set[str] = set()
+        # High-water mark of shard ids: above every listed shard, and above
+        # every name ``_next_shard_name`` has handed out since.
+        self._next_shard_id = max((_shard_id(shard.name) for shard in self._shards), default=-1) + 1
         self.directory.mkdir(parents=True, exist_ok=True)
 
     # ------------------------------------------------------------------
@@ -465,24 +476,20 @@ class EmbeddingIndex:
         return len(dead)
 
     def _next_shard_name(self) -> str:
-        """First shard id not used by the manifest *or* any file on disk.
+        """Next shard id above every shard this index has listed or named.
 
-        Scanning the directory too makes naming robust against orphans left
-        by a crash between a payload write and the manifest write — a stale
-        ``shard-0000N.npy`` is simply skipped over, never clobbered.
+        Ids come from an in-memory high-water mark, so a name is not handed
+        out twice even after a failed write or a compact that dropped every
+        shard (replicas adopt loaded shards by name and row count).  A
+        candidate whose payload file is already on disk — an orphan left by
+        a crash between a payload write and the manifest write — is skipped
+        over, never clobbered.
         """
-        used = set()
-        for path in self.directory.glob("shard-*.npy"):
-            try:
-                used.add(int(path.stem.split("-")[1]))
-            except (IndexError, ValueError):
-                continue
-        for shard in self._shards:
-            try:
-                used.add(int(shard.name.split("-")[1]))
-            except (IndexError, ValueError):
-                continue
-        return f"shard-{max(used, default=-1) + 1:05d}"
+        shard_id = self._next_shard_id
+        while (self.directory / f"shard-{shard_id:05d}.npy").exists():
+            shard_id += 1
+        self._next_shard_id = shard_id + 1
+        return f"shard-{shard_id:05d}"
 
     def _write_shard(
         self, keys: Sequence[str], kinds: Sequence[str], rows: Sequence[np.ndarray]
@@ -542,8 +549,10 @@ class EmbeddingIndex:
 
     def save(self) -> Path:
         """Flush pending rows and rewrite the manifest; returns its path."""
-        self.flush()
-        self._write_manifest()
+        if self._pending_keys:
+            self.flush()  # sealing writes the manifest
+        else:
+            self._write_manifest()
         return self.directory / MANIFEST_NAME
 
     def _write_manifest(self) -> None:
@@ -789,12 +798,12 @@ class EmbeddingIndex:
             "rows_after": len(latest),
             "tombstones_dropped": len(self._tombstones),
         }
-        # Write the complete new layout first (fresh shard ids — the name
-        # allocator sees the old files, so nothing is clobbered), *then*
-        # switch the manifest atomically, *then* drop the stale payloads.  A
-        # crash at any point leaves either the old index fully intact (plus
-        # orphan new shards the next compact removes) or the new index fully
-        # intact (plus stale orphans).
+        # Write the complete new layout first (fresh shard ids above the old
+        # ones, so nothing is clobbered), *then* switch the manifest
+        # atomically, *then* drop the stale payloads.  A crash at any point
+        # leaves either the old index fully intact (plus orphan new shards
+        # the next compact removes) or the new index fully intact (plus stale
+        # orphans).
         items = list(latest.items())
         new_shards: List[_Shard] = []
         for start in range(0, len(items), self.shard_size):

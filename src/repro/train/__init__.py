@@ -20,20 +20,17 @@ from .engine import (
     TrainTask,
 )
 from .artifacts import ArtifactStore, RunManifest, StageRun, StageTiming, fingerprint
-from .corpus import ShardedCorpus, ShardStreamPlan
 
 __all__ = [
     "BatchPlan",
     "EpochPlan",
     "SamplingPlan",
-    "ShardStreamPlan",
     "Trainer",
     "TrainerConfig",
     "TrainResult",
     "TrainTask",
     "ArtifactStore",
     "RunManifest",
-    "ShardedCorpus",
     "StageRun",
     "StageTiming",
     "fingerprint",

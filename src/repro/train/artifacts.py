@@ -125,17 +125,6 @@ class ArtifactStore:
         assert self.root is not None
         return self.root / f"{stage}-{key}.json"
 
-    def payload_path(self, stage: str, key: str) -> Path:
-        """Where the pickled payload for ``(stage, key)`` lives on disk.
-
-        Exposed for consumers that need the raw bytes — e.g.
-        :class:`~repro.train.corpus.ShardedCorpus` fingerprints each shard's
-        payload file after writing it.
-        """
-        if self.root is None:
-            raise RuntimeError("payload_path on a disabled (root=None) ArtifactStore")
-        return self._entry_path(stage, key)
-
     def contains(self, stage: str, key: str) -> bool:
         """Whether a payload exists for ``(stage, key)`` with a valid manifest."""
         if self.root is None:
@@ -166,17 +155,15 @@ class ArtifactStore:
         self.hits += 1
         return value
 
-    def save(self, stage: str, key: str, value: Any) -> Optional[str]:
+    def save(self, stage: str, key: str, value: Any) -> None:
         """Atomically pickle a payload under ``(stage, key)``.
 
-        Returns the payload's sha256 hexdigest (``None`` when the store is
-        disabled) — pickling happens once in memory, so consumers that need a
-        content fingerprint (:class:`~repro.train.corpus.ShardedCorpus`) get
-        it without re-reading what was just written.
+        The manifest beside it records the payload's size and sha256.  A
+        disabled store only counts the miss.
         """
         self.misses += 1
         if self.root is None:
-            return None
+            return
         # Write atomically (temp + rename): an interrupted run must never
         # leave a truncated pickle behind a valid-looking manifest.
         entry = self._entry_path(stage, key)
@@ -197,7 +184,6 @@ class ArtifactStore:
             "sha256": digest,
         }
         self._manifest_path(stage, key).write_text(json.dumps(manifest, indent=2))
-        return digest
 
     # ------------------------------------------------------------------
     def stage(self, name: str, key_payload: Mapping[str, Any]) -> StageRun:

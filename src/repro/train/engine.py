@@ -299,7 +299,6 @@ class Trainer:
             "task": self.task.name,
             "engine": "sequential",
             "plan_kind": type(plan).__name__,
-            "plan_shard_size": int(getattr(plan, "shard_size", 0)),
             "rng": rng.bit_generator.state,
             "schedule": schedule.state_dict(),
             "losses": np.asarray(result.losses, dtype=np.float64),
@@ -339,23 +338,18 @@ class Trainer:
                 "this release no longer has; a resumed run would not match the "
                 "original. Restart without resume."
             )
-        # The minibatch schedule must match too: a sharded checkpoint resumed
-        # without --shard-size (or with a different one) would draw entirely
-        # different batches while every weight loads fine — the worst kind of
-        # silent divergence.  Older checkpoints predate the key; skip then.
+        # The minibatch schedule must match too: a checkpoint of another plan
+        # (such as the shard-local schedule of older releases' streamed
+        # corpora) would draw entirely different batches while every weight
+        # loads fine — the worst kind of silent divergence.  Older
+        # checkpoints predate the key; skip then.
         saved_plan = state.get("plan_kind")
-        if saved_plan is not None:
-            current_plan = type(plan).__name__
-            saved_shard = int(state.get("plan_shard_size", 0))
-            current_shard = int(getattr(plan, "shard_size", 0))
-            if str(saved_plan) != current_plan or saved_shard != current_shard:
-                raise ValueError(
-                    f"checkpoint {path} was written under a {saved_plan} schedule "
-                    f"(shard_size={saved_shard}) but this run uses {current_plan} "
-                    f"(shard_size={current_shard}); a resumed run would draw "
-                    "different minibatches. Match the shard_size/sharding setting "
-                    "of the interrupted run, or restart without resume."
-                )
+        if saved_plan is not None and str(saved_plan) != type(plan).__name__:
+            raise ValueError(
+                f"checkpoint {path} was written under a {saved_plan} schedule "
+                f"but this run uses {type(plan).__name__}; a resumed run would "
+                "draw different minibatches. Restart without resume."
+            )
         schedule.load_state_dict(state.get("schedule", {}))
         plan_state: Dict[str, object] = dict(state.get("plan", {}))
         for key, value in state.items():

@@ -56,20 +56,26 @@ class TestPretrainAndEmbedCommands:
         assert "checkpoint written" in stdout
         assert "embeddings written" in stdout
 
-    def test_pretrain_with_shards(self, tmp_path, capsys):
-        # --shard-size streams the training corpora from on-disk shards
-        # under --cache-dir.
+    @pytest.mark.parametrize("checkpoint_every, hint", [
+        ("1", "rerun with --resume to continue from"),
+        ("0", "nothing to resume from"),
+    ])
+    def test_pretrain_interrupt_exits_130_with_a_resume_hint(
+        self, tmp_path, capsys, monkeypatch, checkpoint_every, hint
+    ):
+        from repro.core import NetTAGPipeline
+
+        def interrupted(self, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(NetTAGPipeline, "pretrain", interrupted)
         checkpoint = tmp_path / "model.npz"
-        cache = tmp_path / "cache"
         assert main([
             "pretrain", "--output", str(checkpoint), "--preset", "fast",
-            "--designs-per-suite", "1", "--seed", "1", "--shard-size", "16",
-            "--cache-dir", str(cache),
-        ]) == 0
-        assert checkpoint.exists()
-        shard_manifests = list((cache / "shards").glob("*.corpus.json"))
-        assert shard_manifests, "expected sharded corpora under <cache>/shards"
-        assert "checkpoint written" in capsys.readouterr().out
+            "--checkpoint-every", checkpoint_every,
+        ]) == 130
+        assert hint in capsys.readouterr().out
+        assert not checkpoint.exists()
 
     def test_batch_embed_directory(self, tmp_path, capsys):
         checkpoint = tmp_path / "model.npz"

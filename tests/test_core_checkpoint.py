@@ -22,12 +22,12 @@ class TestConfigSerialisation:
         assert rebuilt.tag_pretrain == config.tag_pretrain
 
     def test_config_saved_with_data_parallel_settings_still_loads(self):
-        """Earlier releases saved ``num_workers``/``world_size`` in both
-        pre-training configs; those keys are dropped on load."""
+        """Earlier releases saved ``num_workers``/``world_size``/``shard_size``
+        in both pre-training configs; those keys are dropped on load."""
         config = NetTAGConfig.fast(seed=2)
         data = config.to_dict()
         for section in ("expr_pretrain", "tag_pretrain"):
-            data[section] = dict(data[section], num_workers=2, world_size=4)
+            data[section] = dict(data[section], num_workers=2, world_size=4, shard_size=16)
         assert NetTAGConfig.from_dict(data) == config
 
 
@@ -62,7 +62,7 @@ class TestModelCheckpoint:
         model = NetTAG(NetTAGConfig.fast(seed=5), rng=np.random.default_rng(5))
         config = model.config.to_dict()
         for section in ("expr_pretrain", "tag_pretrain"):
-            config[section] = dict(config[section], num_workers=0, world_size=0)
+            config[section] = dict(config[section], num_workers=0, world_size=0, shard_size=0)
         path = nn.save_checkpoint(
             model, tmp_path / "earlier.npz", metadata={"config": config, "preset": "fast"}
         )

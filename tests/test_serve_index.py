@@ -251,6 +251,21 @@ class TestCrashSafety:
         reopened = EmbeddingIndex.open(tmp_path / "idx")
         assert sorted(reopened.keys()) == ["a", "b", "c", "d"]
 
+    def test_shard_names_are_not_reused_after_compact_empties_the_index(self, tmp_path):
+        """A reader adopts loaded shards by name and row count, so a name the
+        writer handed out once must never come back, even after compact
+        dropped (and unlinked) every shard that carried it."""
+        index = EmbeddingIndex.create(tmp_path / "idx", dim=4, shard_size=2)
+        index.add(["a", "b"], make_vectors(2, 4))
+        index.save()
+        index.remove(["a", "b"])
+        index.compact()
+        assert not any((tmp_path / "idx").glob("shard-*.npy"))
+        index.add(["c", "d"], make_vectors(2, 4, seed=2))
+        index.save()
+        assert [shard.name for shard in index._shards] == ["shard-00001"]
+        assert sorted(EmbeddingIndex.open(tmp_path / "idx").keys()) == ["c", "d"]
+
     def test_compact_removes_orphans_of_its_own_old_layout(self, tmp_path):
         index = EmbeddingIndex.create(tmp_path / "idx", dim=4, shard_size=2)
         index.add([f"k{i}" for i in range(5)], make_vectors(5, 4))
@@ -261,6 +276,56 @@ class TestCrashSafety:
             assert not stale.exists()
         reopened = EmbeddingIndex.open(tmp_path / "idx")
         assert len(reopened) == 5
+
+
+class TestWriteCost:
+    def _counting_manifest_writes(self, monkeypatch) -> list:
+        calls = []
+        original = EmbeddingIndex._write_manifest
+
+        def counting(index):
+            calls.append(index.num_shards)
+            original(index)
+
+        monkeypatch.setattr(EmbeddingIndex, "_write_manifest", counting)
+        return calls
+
+    def test_sealing_save_writes_the_manifest_once(self, tmp_path, monkeypatch):
+        index = EmbeddingIndex.create(tmp_path / "idx", dim=4, shard_size=8)
+        index.add(["a", "b", "c"], make_vectors(3, 4))
+        calls = self._counting_manifest_writes(monkeypatch)
+        index.save()
+        assert calls == [1], "one manifest write, after the tail shard is sealed"
+        assert [s["name"] for s in json.loads(
+            (tmp_path / "idx" / "manifest.json").read_text())["shards"]] == ["shard-00000"]
+
+    def test_save_without_pending_rows_still_writes_the_manifest(self, tmp_path, monkeypatch):
+        index = EmbeddingIndex.create(tmp_path / "idx", dim=4, shard_size=8)
+        index.add(["a"], make_vectors(1, 4))
+        index.save()
+        index.fingerprints["model"] = "retrained"
+        calls = self._counting_manifest_writes(monkeypatch)
+        index.save()
+        assert calls == [1]
+        reopened = EmbeddingIndex.open(tmp_path / "idx")
+        assert reopened.fingerprints["model"] == "retrained"
+
+    def test_sealing_does_not_scan_the_directory(self, tmp_path, monkeypatch):
+        import pathlib
+
+        index = EmbeddingIndex.create(tmp_path / "idx", dim=4, shard_size=2)
+        index.add([f"k{i}" for i in range(4)], make_vectors(4, 4))
+        index.save()
+
+        def no_glob(self, pattern):
+            raise AssertionError(f"sealing globbed {self} for {pattern!r}")
+
+        monkeypatch.setattr(pathlib.Path, "glob", no_glob)
+        index.add([f"j{i}" for i in range(5)], make_vectors(5, 4, seed=1))
+        index.save()
+        assert [shard.name for shard in index._shards] == [
+            f"shard-{i:05d}" for i in range(5)
+        ]
 
 
 class TestStats:

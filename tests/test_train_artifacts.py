@@ -61,6 +61,16 @@ class TestArtifactStore:
         fresh = ArtifactStore(tmp_path)
         assert fresh.get_or_compute("demo", key, lambda: "recomputed") == "recomputed"
 
+    def test_corrupt_manifest_behaves_like_miss(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        key = {"seed": 1}
+        store.get_or_compute("demo", key, lambda: "value")
+        for manifest in tmp_path.glob("demo-*.json"):
+            manifest.write_text("{truncated")
+        fresh = ArtifactStore(tmp_path)
+        assert fresh.get_or_compute("demo", key, lambda: "recomputed") == "recomputed"
+        assert (fresh.hits, fresh.misses) == (0, 1)
+
     def test_stage_timings_record_cache_state(self, tmp_path):
         store = ArtifactStore(tmp_path)
         key = {"seed": 3}

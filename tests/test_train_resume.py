@@ -63,22 +63,6 @@ class TestExprPretrainerResume:
         for name, value in reference_params.items():
             np.testing.assert_array_equal(value, resumed_params[name])
 
-    def test_sharded_plan_skips_singleton_batches(self, tmp_path):
-        # 17 pairs, shard_size 16 -> trailing 1-item shard; its singleton
-        # batch must be skipped (min_batch_size=2), not fed to InfoNCE.
-        variables = ["a", "b", "c", "d"]
-        expressions = [
-            f"{variables[i % 4]} & {variables[(i + 1) % 4]} | !{variables[(i + 2) % 4]} ^ x{i}"
-            for i in range(17)
-        ]
-        config = ExprPretrainConfig(num_steps=6, batch_size=4, seed=1, shard_size=16)
-        model = ExprLLM(TextEncoderConfig.preset("small"), rng=np.random.default_rng(0))
-        result = ExprLLMPretrainer(model, config).run(
-            expressions, shard_dir=tmp_path / "shards"
-        )
-        assert result.completed
-        assert result.num_pairs >= 17
-
     def test_lora_adapters_survive_resume(self, tmp_path):
         config = ExprPretrainConfig(num_steps=4, batch_size=4, seed=0, use_lora=True)
         ckpt = tmp_path / "lora.ckpt.npz"
@@ -110,21 +94,20 @@ def _rewrite_train_state(path: Path, **updates) -> None:
 class TestResumeGuards:
     """A checkpoint resumes only under the schedule and engine that wrote it."""
 
-    def _interrupted(self, tmp_path, **config_overrides):
-        config = ExprPretrainConfig(num_steps=6, batch_size=4, seed=3, **config_overrides)
+    CONFIG = ExprPretrainConfig(num_steps=6, batch_size=4, seed=3)
+
+    def _interrupted(self, tmp_path):
         ckpt = tmp_path / "expr.ckpt.npz"
         model = ExprLLM(TextEncoderConfig.preset("small"), rng=np.random.default_rng(0))
-        ExprLLMPretrainer(model, config).run(
-            EXPRESSIONS, checkpoint_path=ckpt, checkpoint_every=1, max_steps=2,
-            shard_dir=tmp_path / "shards",
+        ExprLLMPretrainer(model, self.CONFIG).run(
+            EXPRESSIONS, checkpoint_path=ckpt, checkpoint_every=1, max_steps=2
         )
         return ckpt
 
-    def _resume(self, tmp_path, ckpt, **config_overrides):
-        config = ExprPretrainConfig(num_steps=6, batch_size=4, seed=3, **config_overrides)
+    def _resume(self, ckpt):
         model = ExprLLM(TextEncoderConfig.preset("small"), rng=np.random.default_rng(0))
-        return ExprLLMPretrainer(model, config).run(
-            EXPRESSIONS, checkpoint_path=ckpt, resume=True, shard_dir=tmp_path / "shards",
+        return ExprLLMPretrainer(model, self.CONFIG).run(
+            EXPRESSIONS, checkpoint_path=ckpt, resume=True
         )
 
     def test_parallel_engine_checkpoint_is_refused(self, tmp_path):
@@ -133,16 +116,19 @@ class TestResumeGuards:
         ckpt = self._interrupted(tmp_path)
         _rewrite_train_state(ckpt, engine="parallel")
         with pytest.raises(ValueError, match="parallel engine"):
-            self._resume(tmp_path, ckpt)
+            self._resume(ckpt)
 
     def test_shard_schedule_mismatch_is_refused(self, tmp_path):
-        # A sharded checkpoint resumed without sharding (or with another
-        # shard size) would silently draw different minibatches.
-        ckpt = self._interrupted(tmp_path, shard_size=8)
-        with pytest.raises(ValueError, match="ShardStreamPlan"):
-            self._resume(tmp_path, ckpt)
-        with pytest.raises(ValueError, match="shard_size"):
-            self._resume(tmp_path, ckpt, shard_size=4)
+        # Earlier releases could stream the corpus from shards under a
+        # shard-local ShardStreamPlan; resuming such a checkpoint under the
+        # in-memory SamplingPlan would silently draw different minibatches.
+        ckpt = self._interrupted(tmp_path)
+        _rewrite_train_state(ckpt, plan_kind="ShardStreamPlan", plan_shard_size=8)
+        with pytest.raises(
+            ValueError, match="ShardStreamPlan schedule but this run uses SamplingPlan"
+        ) as refused:
+            self._resume(ckpt)
+        assert "Restart without resume" in str(refused.value)
 
 
 _MATRIX_SCRIPT = textwrap.dedent(
@@ -153,15 +139,15 @@ _MATRIX_SCRIPT = textwrap.dedent(
     from repro.pretrain import ExprLLMPretrainer, ExprPretrainConfig
 
     if __name__ == "__main__":
-        shard_dir, out_path = sys.argv[1], sys.argv[2]
+        out_path = sys.argv[1]
         expressions = [
             "a & b", "a | !b", "a ^ (b & c)", "!(a | b) & c", "(a & b) | (c & d)",
             "!a ^ b", "a & (b | c)", "!(a ^ c)", "(a | b) ^ (c | d)", "a & b & c",
             "c | (a & !b)", "!(c & d) | a", "a ^ b ^ c", "(a | c) & (b | d)",
         ]
-        config = ExprPretrainConfig(num_steps=4, batch_size=8, seed=5, shard_size=8)
+        config = ExprPretrainConfig(num_steps=4, batch_size=8, seed=5)
         model = ExprLLM(TextEncoderConfig.preset("small"), rng=np.random.default_rng(0))
-        result = ExprLLMPretrainer(model, config).run(expressions, shard_dir=shard_dir)
+        result = ExprLLMPretrainer(model, config).run(expressions)
         payload = {"losses": np.asarray(result.losses, dtype=np.float64)}
         for name, param in model.named_parameters():
             payload["param::" + name] = param.data
@@ -173,7 +159,7 @@ _MATRIX_SCRIPT = textwrap.dedent(
 class TestDeterminismMatrix:
     """Loss curves and weights are invariant to PYTHONHASHSEED.
 
-    A short shard-streamed pre-train run under three different hash seeds —
+    A short pre-train run under three different hash seeds —
     three fresh interpreters — produces byte-identical loss curves and final
     weights.  This guards against set/dict iteration order leaking into
     training (the ``WExpr.ordered_signals`` bug class).
@@ -187,12 +173,11 @@ class TestDeterminismMatrix:
         outputs = {}
         for hash_seed in ("0", "1", "31337"):
             out = tmp_path / f"run-h{hash_seed}.npz"
-            shard_dir = tmp_path / f"shards-h{hash_seed}"
             env = dict(os.environ)
             env["PYTHONHASHSEED"] = hash_seed
             env["PYTHONPATH"] = str(repo_src) + os.pathsep + env.get("PYTHONPATH", "")
             proc = subprocess.run(
-                [sys.executable, str(script), str(shard_dir), str(out)],
+                [sys.executable, str(script), str(out)],
                 capture_output=True, text=True, timeout=600, env=env,
             )
             assert proc.returncode == 0, (
