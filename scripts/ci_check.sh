@@ -10,10 +10,9 @@
 # PATH), the coverage job (tier-1 rerun under coverage.py or the vendored
 # scripts/linecov.py tracer, pinned floor — see scripts/coverage_check.sh),
 # the docs job (fenced code blocks in README.md/docs/*.md), and the compile +
-# model smoke job.  The scheduled benchmark workflow
+# model smoke job.  The scheduled paper-table workflow
 # (.github/workflows/bench.yml) is NOT mirrored here; run
-# scripts/bench_throughput.py / scripts/bench_index.py /
-# scripts/bench_crossmodal.py for that.
+# `pytest -m bench benchmarks` for that, and perfbench/run.py for speed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"

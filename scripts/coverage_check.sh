@@ -24,10 +24,7 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 FLOOR="${COVERAGE_FLOOR:-87.7}"
-# tests/ only: the benchmarks/ guard files assert wall-clock speedup floors,
-# which tracer overhead (coverage.py's, and the fallback's even more so)
-# would flake; they still run untraced in the tier-1 and bench jobs.
-PYTEST_ARGS=(-q -m "not bench and not slow" --ignore=benchmarks)
+PYTEST_ARGS=(-q -m "not bench and not slow")
 
 if python -c "import coverage" >/dev/null 2>&1; then
   echo "==> coverage.py: tier-1 under coverage (floor ${FLOOR}%)"

@@ -9,16 +9,6 @@ from .table3 import run_table3
 from .table4 import run_table4
 from .table5 import run_table5
 from .table6 import EDA_ITERATION_FACTOR, RuntimeRow, measure_suite_runtime, run_table6
-from .throughput import (
-    build_cone_workload,
-    fast_clone,
-    run_backend_parity,
-    run_profile,
-    run_throughput,
-    save_report,
-    seed_sequential_encode,
-)
-from .index_throughput import build_index_corpus, run_index_bench, save_index_report
 from .fig5 import run_fig5
 from .fig6 import ABLATIONS, run_fig6
 from .fig7 import run_fig7_data_scaling, run_fig7_model_scaling
@@ -44,16 +34,6 @@ __all__ = [
     "EDA_ITERATION_FACTOR",
     "RuntimeRow",
     "measure_suite_runtime",
-    "build_cone_workload",
-    "fast_clone",
-    "run_backend_parity",
-    "run_profile",
-    "run_throughput",
-    "save_report",
-    "seed_sequential_encode",
-    "build_index_corpus",
-    "run_index_bench",
-    "save_index_report",
     "run_fig5",
     "ABLATIONS",
     "run_fig6",

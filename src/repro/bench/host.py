@@ -1,13 +1,10 @@
 """Host snapshot stamped into benchmark reports.
 
-The regression gates compare dimensionless speedup *ratios* across runs on
-the assumption that both paths of a ratio see the same machine conditions.
-That assumption breaks on a loaded host: a background build steals cycles
-unevenly between a short warm loop and a long concurrent section, skewing
-the ratio without any code change (see CHANGES.md, PR 9 baseline-noise
-postmortem).  Stamping the CPU count and load averages into every report
-makes a suspect baseline diagnosable after the fact instead of silently
-becoming the new CI floor.
+A benchmark figure is only comparable across runs that saw the same machine
+conditions: a background process steals cycles and moves latencies without
+any code change.  ``perfbench/run.py`` prints the CPU count and load
+averages before and after every run, so a suspect run is diagnosable after
+the fact instead of silently becoming a new baseline.
 """
 
 from __future__ import annotations
@@ -20,14 +17,6 @@ from typing import Dict
 # bench starts means some other process is competing for the CPU and the
 # measured ratios are unreliable.
 LOADED_THRESHOLD = 0.5
-
-
-def available_cores() -> int:
-    """Usable CPU cores (affinity-aware: containers often pin fewer)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux fallback
-        return os.cpu_count() or 1
 
 
 def host_snapshot() -> Dict[str, object]:

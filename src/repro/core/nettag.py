@@ -325,7 +325,7 @@ class NetTAG(nn.Module):
         In multi-grained mode the endpoint register's own gate embedding is
         appended to the graph embedding (the endpoint defines the cone); this
         is the single definition shared by the sequential path, the batched
-        path and the benchmark reference implementations.
+        path and the seed-path reference the tests keep.
         """
         if not self.config.multi_grained_embeddings:
             return graph_embedding

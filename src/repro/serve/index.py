@@ -171,6 +171,7 @@ class EmbeddingIndex:
         _tombstones: Optional[Sequence[str]] = None,
         _generation: int = 0,
         _index_id: Optional[str] = None,
+        _next_shard_id: int = 0,
     ) -> None:
         if dim < 1:
             raise ValueError("embedding dimension must be positive")
@@ -209,8 +210,12 @@ class EmbeddingIndex:
         self._shard_meta: List[Metadata] = []
         self._kinds_seen: Set[str] = set()
         # High-water mark of shard ids: above every listed shard, and above
-        # every name ``_next_shard_name`` has handed out since.
-        self._next_shard_id = max((_shard_id(shard.name) for shard in self._shards), default=-1) + 1
+        # every name ``_next_shard_name`` has handed out since.  Persisted in
+        # the manifest, so a later writer process never reuses a name either.
+        self._next_shard_id = max(
+            max((_shard_id(shard.name) for shard in self._shards), default=-1) + 1,
+            int(_next_shard_id),
+        )
         self.directory.mkdir(parents=True, exist_ok=True)
 
     # ------------------------------------------------------------------
@@ -362,6 +367,7 @@ class EmbeddingIndex:
             _tombstones=manifest.get("tombstones", []),
             _generation=int(manifest.get("generation", 0)),
             _index_id=manifest.get("index_id"),
+            _next_shard_id=int(manifest.get("next_shard_id", 0)),
         )
 
     def _adopt_shards(self, previous: "EmbeddingIndex") -> None:
@@ -478,9 +484,10 @@ class EmbeddingIndex:
     def _next_shard_name(self) -> str:
         """Next shard id above every shard this index has listed or named.
 
-        Ids come from an in-memory high-water mark, so a name is not handed
-        out twice even after a failed write or a compact that dropped every
-        shard (replicas adopt loaded shards by name and row count).  A
+        Ids come from a high-water mark kept in the manifest, so a name is
+        not handed out twice even after a failed write, or by a later writer
+        process after a compact that dropped every shard (replicas adopt
+        loaded shards by name and row count).  A
         candidate whose payload file is already on disk — an orphan left by
         a crash between a payload write and the manifest write — is skipped
         over, never clobbered.
@@ -565,6 +572,7 @@ class EmbeddingIndex:
             "fingerprints": self.fingerprints,
             "generation": self._generation,
             "index_id": self._index_id,
+            "next_shard_id": self._next_shard_id,
             "shards": [{"name": s.name, "count": s.count} for s in self._shards],
             "tombstones": [
                 list(entry)

@@ -11,15 +11,17 @@ Three search paths share one result format:
   ``iter_segments`` and ``search_metadata``).
 * :class:`IVFSearcher` — an IVF-style approximate index: a seeded k-means
   coarse quantiser partitions the corpus into inverted lists, and a query
-  only scores the ``nprobe`` lists whose centroids are nearest.  With the
-  defaults it reaches recall@10 ≥ 0.9 on the benchmark corpus while scoring
-  a small fraction of the rows (see ``BENCH_index.json``).
+  only scores the ``nprobe`` lists whose centroids are nearest.
 * :class:`HNSWSearcher` — a hierarchical navigable-small-world graph.
-  Queries greedily descend layered proximity graphs, touching a few hundred
-  vectors regardless of corpus size; at the 100k-vector benchmark corpus it
-  beats IVF on both recall@10 and per-query latency (``BENCH_index.json``,
-  ``hnsw_scale`` section).  The build is fully deterministic for a fixed
-  seed and supports incremental :meth:`~HNSWSearcher.insert`.
+  Queries greedily descend layered proximity graphs and beam-search the
+  bottom layer, scoring on the order of ``ef_search`` × ``M`` vectors.  The
+  build is fully deterministic for a fixed seed and supports incremental
+  :meth:`~HNSWSearcher.insert`.
+
+Neither approximate searcher wins on both recall and latency at the index
+dims the program serves: at 100k rows and dim 302 both reach recall@10 0.95
+only with most lists probed or a wide beam (see ``docs/serving.md``,
+"Choosing between exact, IVF and HNSW").
 
 Scores are cosine similarities in ``[-1, 1]``; ties break deterministically
 by insertion order so repeated queries (and save→load round-trips) return
@@ -266,7 +268,6 @@ class IVFSearcher:
         self,
         queries: np.ndarray,
         k: int = 10,
-        nprobe: Optional[int] = None,
         exclude_keys: Optional[Sequence[str]] = None,
     ) -> List[List[SearchHit]]:
         """Approximate cosine top-k scoring only the ``nprobe`` nearest lists."""
@@ -274,7 +275,7 @@ class IVFSearcher:
             raise RuntimeError("IVFSearcher.search called before fit()")
         if k < 1:
             raise ValueError("k must be positive")
-        nprobe = min(nprobe or self.nprobe, len(self._centroids))
+        nprobe = min(self.nprobe, len(self._centroids))
         normalised = _normalise_queries(queries, self._dim)
         excluded = set(exclude_keys or ())
         centroid_sims = normalised @ self._centroids.T
@@ -333,9 +334,8 @@ class HNSWSearcher:
     A layered proximity graph: every vector lives on layer 0, and a
     geometrically-thinning subset also lives on higher layers.  A query
     greedily descends from the top layer's entry point to layer 1, then runs
-    a best-first beam search (width ``ef_search``) on layer 0 — touching a
-    few hundred vectors regardless of corpus size, which is what lets it
-    beat the inverted-file scan at large corpora (see ``BENCH_index.json``).
+    a best-first beam search (width ``ef_search``) on layer 0, scoring on
+    the order of ``ef_search`` × ``M`` vectors per query.
 
     Determinism: a node's layer is a pure function of ``(seed, node id)``
     and neighbour selection breaks ties by insertion order, so rebuilding
@@ -861,7 +861,6 @@ class HNSWSearcher:
         self,
         queries: np.ndarray,
         k: int = 10,
-        ef: Optional[int] = None,
         exclude_keys: Optional[Sequence[str]] = None,
     ) -> List[List[SearchHit]]:
         """Approximate cosine top-k via greedy descent + layer-0 beam search."""
@@ -869,7 +868,7 @@ class HNSWSearcher:
             raise RuntimeError("HNSWSearcher.search called before fit()/insert()")
         if k < 1:
             raise ValueError("k must be positive")
-        ef = max(ef or self.ef_search, k)
+        ef = max(self.ef_search, k)
         normalised = _normalise_queries(queries, self._dim)
         excluded = set(exclude_keys or ())
         # Over-fetch so exclusions cannot shrink a result list below k.

@@ -11,7 +11,8 @@ expressions the engine historically inlined.
 Fused backward paths are gradient-checked in float64 (via the reference
 backend, whose fused kernels share the implementation), and the segment
 attention path is checked against the dense block-diagonal-mask path it
-replaces.
+replaces.  End to end, a batched cone encode on the fast backend stays within
+1e-5 of reference and takes the fused kernels that make it fast.
 """
 
 from __future__ import annotations
@@ -22,11 +23,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from encode_reference import build_cone_workload, cone_tags, fast_clone, run_backend_parity
 from gradcheck import gradcheck
 from repro.nn import (
     MultiHeadAttention,
     SegmentSpec,
     Tensor,
+    profile_kernels,
     resolve_backend,
     use_backend,
 )
@@ -350,11 +353,26 @@ class TestModuleParity:
         assert self._rel(outputs["fast"], outputs["reference"]) <= 1e-5
 
     def test_encoder_batch_parity(self):
-        """The ISSUE-level guarantee: fast encode within 1e-5 of reference."""
-        from repro.bench.throughput import build_cone_workload, run_backend_parity
+        """The end-to-end guarantee: fast encode within 1e-5 of reference."""
         from repro.core import NetTAG, NetTAGConfig
 
         model = NetTAG(NetTAGConfig.fast(), rng=np.random.default_rng(3))
         cones = build_cone_workload(num_designs=2)
         max_rel = run_backend_parity(model, cones, rtol=1e-5)
         assert max_rel <= 1e-5
+
+    def test_fast_encode_takes_the_fused_kernels(self):
+        """The fast backend's speed comes from its fused linear kernel, which
+        the reference backend never calls; counted, not timed."""
+        from repro.core import NetTAG, NetTAGConfig
+
+        model = NetTAG(NetTAGConfig.fast(), rng=np.random.default_rng(3))
+        cones = build_cone_workload(num_designs=2)
+        tags = cone_tags(model, cones)
+        calls = {}
+        for name, encoder in (("reference", model), ("fast", fast_clone(model))):
+            with use_backend(name), profile_kernels() as profile:
+                encoder.encode_batch(cones, tags=tags)
+            calls[name] = profile.calls.get("linear", 0)
+        assert calls["reference"] == 0
+        assert calls["fast"] > 0

@@ -4,7 +4,10 @@ Covers the engine's contract points:
 
 * ``BatchedTAG`` packing invariants (offsets, block structure, masks),
 * batched-vs-sequential parity on mixed-size cone batches (1e-8), including
-  single-graph and empty-batch edge cases,
+  single-graph and empty-batch edge cases, and against the seed's per-cone
+  path on a ≥ 16-cone workload,
+* the batching itself: a batched encode makes at most a third of the seed
+  path's backend kernel calls on that workload,
 * LRU expression-embedding cache correctness (enabled == disabled, statistics,
   eviction at capacity),
 * bit-identical determinism of two same-seed ``NetTAGPipeline`` runs.
@@ -15,6 +18,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from encode_reference import (
+    api_sequential_encode,
+    build_cone_workload,
+    cone_tags,
+    run_parity_check,
+    seed_sequential_encode,
+)
 from repro.core import NetTAG, NetTAGConfig, NetTAGPipeline
 from repro.encoders import ExprLLM, LRUEmbeddingCache, TextEncoderConfig
 from repro.netlist import (
@@ -24,8 +34,9 @@ from repro.netlist import (
     extract_register_cones,
     netlist_to_tag,
 )
-from repro.nn import Tensor, get_backend
+from repro.nn import Tensor, get_backend, profile_kernels
 from repro.rtl import make_controller
+from repro.synth import synthesize
 
 # Batched-vs-sequential parity tolerance: the packed engine is equal to the
 # per-cone path to 1e-8 under the float64 reference backend; under a float32
@@ -195,6 +206,73 @@ class TestBatchedSequentialParity:
         (nodes.sum() + graphs.sum()).backward()
         assert features.grad is not None and np.abs(features.grad).sum() > 0
         assert model.cls_token.grad is not None
+
+
+# ----------------------------------------------------------------------
+# Against the seed's per-cone path
+# ----------------------------------------------------------------------
+class TestSeedPathReference:
+    """The seed workload: register cones of four synthesised controllers."""
+
+    @pytest.fixture(scope="class")
+    def model(self) -> NetTAG:
+        return NetTAG(NetTAGConfig.fast(), rng=np.random.default_rng(7))
+
+    @pytest.fixture(scope="class")
+    def cones(self):
+        workload = build_cone_workload()
+        assert len(workload) >= 16
+        return workload
+
+    @pytest.fixture(scope="class")
+    def tags(self, model, cones):
+        return cone_tags(model, cones)
+
+    def test_batched_matches_both_sequential_paths(self, model, cones, tags):
+        """Same inputs -> same embeddings, for the seed path and the API path."""
+        model.clear_caches()
+        batched = model.encode_batch(cones, tags=tags)
+        model.clear_caches()
+        seed_reference = seed_sequential_encode(model, cones, tags)
+        model.clear_caches()
+        api_reference = api_sequential_encode(model, cones, tags)
+        assert len(batched) == len(cones)
+        for got, seed_want, api_want in zip(batched, seed_reference, api_reference):
+            np.testing.assert_allclose(got, seed_want, atol=PARITY_TOL["atol"])
+            np.testing.assert_allclose(got, api_want, atol=PARITY_TOL["atol"])
+
+    def test_batched_kernel_calls_are_a_third_of_seed(self, model, cones, tags):
+        """Packing cones into shared forwards is what makes the batched engine
+        fast; counted in backend kernel calls, not seconds."""
+
+        def kernel_calls(encode) -> int:
+            model.clear_caches()
+            with profile_kernels() as profile:
+                encode(cones, tags=tags)
+            return sum(profile.calls.values())
+
+        batched = kernel_calls(model.encode_batch)
+        seed = kernel_calls(lambda cones, tags: seed_sequential_encode(model, cones, tags))
+        assert 0 < batched <= seed / 3, (batched, seed)
+
+
+class TestRunParityCheck:
+    def test_parity_holds_on_a_small_workload(self):
+        model = NetTAG(NetTAGConfig.fast(), rng=np.random.default_rng(3))
+        netlist = synthesize(make_controller("parity", seed=13, num_states=3)).netlist
+        cones = extract_register_cones(netlist)[:4]
+        max_diff = run_parity_check(model, cones)
+        # 1e-8 under the float64 reference backend; float32 compute holds the
+        # same algebra to float32 rounding.
+        limit = 1e-8 if get_backend().compute_dtype == np.float64 else 1e-5
+        assert max_diff <= limit
+
+    def test_parity_failure_raises(self):
+        model = NetTAG(NetTAGConfig.fast(), rng=np.random.default_rng(3))
+        netlist = synthesize(make_controller("parity2", seed=14, num_states=3)).netlist
+        cones = extract_register_cones(netlist)[:2]
+        with pytest.raises(AssertionError, match="parity"):
+            run_parity_check(model, cones, atol=0.0)  # any float noise trips it
 
 
 # ----------------------------------------------------------------------

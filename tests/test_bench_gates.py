@@ -1,45 +1,8 @@
-"""Tests for the benchmark CI gates (parity + regression checks)."""
+"""Tests for the host snapshot stamped into benchmark reports."""
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
 from repro.bench.host import LOADED_THRESHOLD, describe_host, host_snapshot
-from repro.bench.throughput import check_regression, run_parity_check
-from repro.core import NetTAG, NetTAGConfig
-from repro.nn import get_backend
-from repro.netlist import extract_register_cones
-from repro.rtl import make_controller
-from repro.synth import synthesize
-
-
-class TestCheckRegression:
-    BASELINE = {"speedup": {"batched_vs_seed_sequential": 4.0, "batched_vs_api_sequential": 1.5}}
-
-    def test_within_tolerance_passes(self):
-        report = {"speedup": {"batched_vs_seed_sequential": 3.2, "batched_vs_api_sequential": 1.2}}
-        assert check_regression(report, self.BASELINE, max_regression=0.25) == []
-
-    def test_regression_beyond_tolerance_fails(self):
-        report = {"speedup": {"batched_vs_seed_sequential": 2.9, "batched_vs_api_sequential": 1.5}}
-        failures = check_regression(report, self.BASELINE, max_regression=0.25)
-        assert len(failures) == 1
-        assert "batched_vs_seed_sequential" in failures[0]
-
-    def test_missing_metric_is_a_failure(self):
-        # Dropping a baseline-tracked metric must not silently disable its gate.
-        report = {"speedup": {"batched_vs_seed_sequential": 4.0}}
-        failures = check_regression(report, self.BASELINE, max_regression=0.25)
-        assert len(failures) == 1
-        assert "missing" in failures[0]
-
-    def test_improvements_pass(self):
-        report = {"speedup": {"batched_vs_seed_sequential": 9.0, "batched_vs_api_sequential": 3.0}}
-        assert check_regression(report, self.BASELINE) == []
-
-    def test_empty_baseline_checks_nothing(self):
-        assert check_regression({"speedup": {}}, {}) == []
 
 
 class TestHostSnapshot:
@@ -69,21 +32,3 @@ class TestHostSnapshot:
         assert "LOADED" in describe_host(noisy)
         assert "unreliable" in describe_host(noisy)
 
-
-class TestRunParityCheck:
-    def test_parity_holds_on_a_small_workload(self):
-        model = NetTAG(NetTAGConfig.fast(), rng=np.random.default_rng(3))
-        netlist = synthesize(make_controller("parity", seed=13, num_states=3)).netlist
-        cones = extract_register_cones(netlist)[:4]
-        max_diff = run_parity_check(model, cones)
-        # 1e-8 under the float64 reference backend; float32 compute holds the
-        # same algebra to float32 rounding.
-        limit = 1e-8 if get_backend().compute_dtype == np.float64 else 1e-5
-        assert max_diff <= limit
-
-    def test_parity_failure_raises(self):
-        model = NetTAG(NetTAGConfig.fast(), rng=np.random.default_rng(3))
-        netlist = synthesize(make_controller("parity2", seed=14, num_states=3)).netlist
-        cones = extract_register_cones(netlist)[:2]
-        with pytest.raises(AssertionError, match="parity"):
-            run_parity_check(model, cones, atol=0.0)  # any float noise trips it

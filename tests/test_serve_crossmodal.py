@@ -4,16 +4,26 @@ Covers the (key, kind) row-identity semantics the multimodal index relies
 on, the projection heads and their sidecar persistence, the kind-pair query
 API, and the edge cases: empty target kinds, modality-encoder fingerprint
 mismatches, and IVF refits after one modality's rows are removed.
+
+On a ≥ 220-item aligned corpus (``TestAlignedCorpus``): aligned-pair
+recall@10 ≥ 0.8 over the six modality pairs and ≥ 0.5 on each, and a mixed
+rtl/layout/cone burst served in few flushes with one encoder pass per source
+kind per flush, scoring as a sequential server does.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from collections import Counter
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 import pytest
 
+from encode_reference import held_burst, seed_sequential_encode
 from repro.core import NetTAGConfig, NetTAGPipeline
+from repro.netlist import netlist_to_tag
 from repro.rtl import make_controller
 from repro.serve import (
     CIRCUIT_KIND,
@@ -23,6 +33,7 @@ from repro.serve import (
     CrossModalEncoder,
     EmbeddingIndex,
     ModalityProjection,
+    MultimodalCorpusItem,
     NetTAGService,
     exact_topk,
 )
@@ -471,3 +482,202 @@ class TestAddMultimodal:
                 service.query(item.cone, CONE_KIND, to_kind="layouts")
         finally:
             service.close()
+
+
+# ----------------------------------------------------------------------
+# Aligned-pair retrieval and modality-batched serving on a 220-item corpus
+# ----------------------------------------------------------------------
+MIN_ITEMS = 220
+NUM_QUERIES = 48
+MAX_BATCH_SIZE = 16
+K = 10
+
+#: The kind pairs the recall sweep measures (query kind -> target kind).
+MODALITY_PAIRS: Tuple[Tuple[str, str], ...] = (
+    (RTL_KIND, CONE_KIND),
+    (CONE_KIND, RTL_KIND),
+    (LAYOUT_KIND, CONE_KIND),
+    (CONE_KIND, LAYOUT_KIND),
+    (RTL_KIND, LAYOUT_KIND),
+    (LAYOUT_KIND, RTL_KIND),
+)
+
+
+def build_crossmodal_pipeline(min_items: int = MIN_ITEMS, seed: int = 7) -> NetTAGPipeline:
+    """A preprocessed pipeline whose corpus holds ≥ ``min_items`` aligned cones.
+
+    Controller designs with cycling state counts and datapath widths,
+    preprocessed with alignment data so every cone carries its RTL cone text
+    and cone layout graph.
+    """
+    pipeline = NetTAGPipeline(NetTAGConfig.fast(seed=seed))
+    designs = []
+    i = 0
+    while sum(len(d.cones) for d in designs) < min_items:
+        module = make_controller(
+            f"corpus_{i}", seed=100 + i, num_states=3 + (i % 6), data_width=3 + (i % 7)
+        )
+        designs.append(pipeline.preprocess_module(module, suite="crossmodal"))
+        i += 1
+    pipeline.designs = designs
+    return pipeline
+
+
+def modality_classes(
+    items: Sequence[MultimodalCorpusItem], vectors_per_modality: Dict[str, np.ndarray]
+) -> Dict[str, Dict[str, frozenset]]:
+    """Per-modality exact-duplicate classes: ``modality -> key -> class``.
+
+    The generators emit structural duplicates (the same pipeline-register
+    cone recurs across designs and bit positions) and the encoders are
+    name-invariant, so duplicates get byte-identical index vectors (at the
+    index's float32 storage precision): cosine ties no ranking can order.
+    Near-misses stay distinct.
+    """
+    classes: Dict[str, Dict[str, frozenset]] = {}
+    for modality, matrix in vectors_per_modality.items():
+        by_content: Dict[bytes, List[str]] = {}
+        for item, row in zip(items, np.asarray(matrix, dtype=np.float32)):
+            by_content.setdefault(row.tobytes(), []).append(item.key)
+        classes[modality] = {
+            key: frozenset(keys) for keys in by_content.values() for key in keys
+        }
+    return classes
+
+
+def duplicate_aware_recall(hits_per_query, items, classes, from_kind, to_kind) -> float:
+    """Share of queries whose top-k holds the aligned partner or a duplicate.
+
+    A retrieved entry counts when its key is the query item's, when it is an
+    exact duplicate of the aligned target (same ``to_kind`` content), or when
+    the query is an exact duplicate of another item's query (same
+    ``from_kind`` content: either item's aligned target is a correct answer).
+    """
+    found = 0
+    for item, hits in zip(items, hits_per_query):
+        acceptable = classes[from_kind][item.key] | classes[to_kind][item.key]
+        found += bool({hit.key for hit in hits} & acceptable)
+    return found / max(len(items), 1)
+
+
+class TestAlignedCorpus:
+    @pytest.fixture(scope="class")
+    def aligned(self, tmp_path_factory):
+        pipeline = build_crossmodal_pipeline()
+        items = [
+            item
+            for item in pipeline.multimodal_items()
+            if item.rtl_text is not None and item.layout is not None
+        ]
+        assert len(items) >= MIN_ITEMS
+        pipeline.model.clear_caches()
+        pipeline.rtl_encoder.clear_cache()
+        directory = tmp_path_factory.mktemp("aligned") / "index"
+        index, encoder = pipeline.build_multimodal_index(directory)
+        return pipeline, items, index, encoder
+
+    def test_aligned_pair_recall_at_10(self, aligned):
+        _, items, index, encoder = aligned
+        queries = {
+            RTL_KIND: encoder.projection(RTL_KIND).project(
+                encoder.encode_rtl([item.rtl_text for item in items])
+            ),
+            LAYOUT_KIND: encoder.projection(LAYOUT_KIND).project(
+                encoder.encode_layouts([item.layout for item in items])
+            ),
+            CONE_KIND: np.stack([index.get(item.key, kind=CONE_KIND) for item in items]),
+        }
+        classes = modality_classes(items, queries)
+        recall = {}
+        for from_kind, to_kind in MODALITY_PAIRS:
+            hits = exact_topk(index, queries[from_kind], k=K, kind=to_kind)
+            recall[(from_kind, to_kind)] = duplicate_aware_recall(
+                hits, items, classes, from_kind, to_kind
+            )
+        for pair, value in recall.items():
+            assert value >= 0.5, pair
+        assert np.mean(list(recall.values())) >= 0.8, recall
+
+    @pytest.fixture(scope="class")
+    def served(self, aligned):
+        """A mixed rtl/layout/cone query slice through a sequential server and
+        a held burst, both starting from empty embedding caches."""
+        pipeline, items, index, encoder = aligned
+        model = pipeline.model
+        stride = max(1, len(items) // NUM_QUERIES)
+        # Cone-weighted mix: netlist-side similarity stays the dominant workload.
+        cycle = (CONE_KIND, RTL_KIND, CONE_KIND, LAYOUT_KIND)
+        requests = []
+        for offset, position in enumerate(range(0, stride * NUM_QUERIES, stride)):
+            item, kind = items[position], cycle[offset % len(cycle)]
+            payload = {RTL_KIND: item.rtl_text, CONE_KIND: item.cone, LAYOUT_KIND: item.layout}
+            requests.append((payload[kind], kind))
+
+        # A stateless sequential server: cone requests encode through the
+        # seed's un-packed path, RTL requests re-encode from an empty text
+        # cache, layout requests run one un-packed forward each.
+        model.clear_caches()
+        sequential = []
+        for payload, kind in requests:
+            if kind == CONE_KIND:
+                tag = netlist_to_tag(payload.netlist, k=model.config.expression_hops)
+                vector = model.pad_to_index_dim(
+                    seed_sequential_encode(model, [payload], [tag])[0]
+                )[None, :]
+            elif kind == RTL_KIND:
+                encoder.rtl_encoder.clear_cache()
+                vector = encoder.projection(RTL_KIND).project(
+                    encoder.rtl_encoder.encode_texts([payload])
+                )
+            else:
+                vector = encoder.projection(LAYOUT_KIND).project(
+                    encoder.layout_encoder.encode(payload)[None, :]
+                )
+            sequential.append(exact_topk(index, vector, k=K, kind=CONE_KIND)[0])
+
+        model.clear_caches()
+        encoder.rtl_encoder.clear_cache()
+        with NetTAGService(
+            model, index=index, crossmodal=encoder,
+            max_batch_size=MAX_BATCH_SIZE, max_latency_ms=2.0,
+        ) as service:
+            burst, flushes = held_burst(
+                service,
+                requests,
+                {
+                    CONE_KIND: (model, "encode_batch"),
+                    RTL_KIND: (encoder.rtl_encoder, "encode_texts"),
+                    LAYOUT_KIND: (encoder.layout_encoder, "encode_batch"),
+                },
+                k=K,
+            )
+        filled = (model.expr_llm.cache_stats()["size"], len(encoder.rtl_encoder._cache))
+        # Cached embeddings keep bits that depend on the batch a text was
+        # encoded in, so the run ends with empty caches: a later run on this
+        # pipeline then builds the same rows.
+        model.clear_caches()
+        encoder.rtl_encoder.clear_cache()
+        cleared = (model.expr_llm.cache_stats()["size"], len(encoder.rtl_encoder._cache))
+        return requests, sequential, burst, flushes, filled, cleared
+
+    def test_mixed_burst_flushes_and_encoder_passes(self, served):
+        requests, _, _, flushes, _, _ = served
+        assert {kind for _, kind in requests} == {CONE_KIND, RTL_KIND, LAYOUT_KIND}
+        assert len(flushes) <= 1 + math.ceil((len(requests) - 1) / MAX_BATCH_SIZE)
+        for kinds, passes in flushes:
+            assert passes == Counter(dict.fromkeys(kinds, 1))
+
+    def test_mixed_burst_scores_match_the_sequential_server(self, served):
+        # Byte-identical duplicate rows tie to within float rounding, so key
+        # order is ill-defined at ties: compare per-rank scores instead.
+        requests, sequential, burst, _, _, _ = served
+        assert len(burst) == len(requests)
+        for seq_row, burst_row in zip(sequential, burst):
+            assert len(burst_row) == K
+            for s, b in zip(seq_row, burst_row):
+                assert abs(s.score - b.score) < 1e-6
+
+    def test_run_leaves_no_cached_embeddings(self, served):
+        _, _, _, _, filled, cleared = served
+        assert min(filled) > 0
+        assert cleared == (0, 0)

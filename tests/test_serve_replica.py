@@ -171,6 +171,30 @@ class TestGenerationWatch:
             hits = replica.query(writer.get("new3")[None, :], k=1, kind="cone")
             assert hits[0][0].key == "new3"
 
+    def test_later_writer_never_reuses_a_shard_name(self, tmp_path):
+        # A replica adopts a loaded shard by name and row count, so a later
+        # writer process that named its first shard like a compacted-away
+        # one would have the replica keep serving the deleted rows.
+        directory = tmp_path / "ix"
+        rng = np.random.default_rng(12)
+        writer = EmbeddingIndex.create(directory, dim=DIM)
+        writer.add(["a", "b"], rng.normal(size=(2, DIM)), kinds="cone")
+        writer.save()
+        with ReadReplica(directory, watch=False) as replica:
+            writer.remove(["a", "b"])
+            writer.save()
+            writer.compact()
+            later = EmbeddingIndex.open(directory)
+            fresh = rng.normal(size=(2, DIM))
+            later.add(["c", "d"], fresh, kinds="cone")
+            later.save()
+
+            assert replica.check_for_update() is True
+            hits = replica.query(fresh, k=2)
+            assert [sorted(h.key for h in row) for row in hits] == [["c", "d"], ["c", "d"]]
+            with replica.read_path.snapshots.pin() as snapshot:
+                assert sum(len(live) for _, _, live in snapshot.search_metadata()) == 2
+
     def test_watcher_thread_reopens_without_explicit_polls(self, tmp_path):
         directory = tmp_path / "ix"
         writer = _build_index(directory, n=48, seed=2)
@@ -369,3 +393,16 @@ class TestReplicaPool:
             assert hits[0][0].key == "fresh"
         # close() is idempotent.
         pool.close()
+
+    def test_unpinned_queries_reach_every_worker(self, tmp_path):
+        # Spreading un-pinned queries over the workers is what lets N
+        # replicas serve more than one: each worker fits its own IVF
+        # searcher on the first approximate query it answers.
+        directory = tmp_path / "ix"
+        _build_index(directory, n=64, seed=10)
+        queries = np.random.default_rng(11).normal(size=(2, DIM))
+        with ReplicaPool(directory, num_replicas=2, watch=False,
+                         ivf_params={"num_centroids": 4}) as pool:
+            for _ in range(2):
+                pool.query(queries, k=3, algorithm="ivf")
+            assert [s["ivf_refits"] for s in pool.stats()] == [1, 1]

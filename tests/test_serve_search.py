@@ -118,7 +118,7 @@ class TestIVFSearcher:
         searcher = IVFSearcher(num_centroids=4, nprobe=4, seed=0).fit(index)
         queries = vectors[:5]
         exact = exact_topk(index, queries, k=5)
-        approx = searcher.search(queries, k=5, nprobe=4)
+        approx = searcher.search(queries, k=5)
         assert recall_at_k(exact, approx, k=5) == 1.0
 
     def test_deterministic_given_seed(self, tmp_path):
