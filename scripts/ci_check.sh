@@ -2,7 +2,7 @@
 # Mirror the CI matrix locally, no make required.
 #
 #   scripts/ci_check.sh          # lint + tier-1 tests + coverage + compile/smoke
-#   scripts/ci_check.sh --fast   # skip the model smoke and the coverage gate
+#   scripts/ci_check.sh --fast   # skip the model/benchmark smoke and the coverage gate
 #
 # Mirrors .github/workflows/ci.yml job for job: the lint job (ruff, hard-error
 # + docstring rules from ruff.toml), the tier-1 test job (bench/slow excluded;
@@ -49,7 +49,7 @@ step "byte-compile every module"
 python -m compileall -q src tests benchmarks scripts examples
 
 if [ "$fast" -eq 1 ]; then
-  step "ci_check OK (--fast: fast-backend leg, coverage gate and model smoke skipped)"
+  step "ci_check OK (--fast: fast-backend leg, coverage gate, model and benchmark smoke skipped)"
   exit 0
 fi
 
@@ -58,5 +58,8 @@ bash scripts/coverage_check.sh
 
 step "end-to-end model smoke"
 python scripts/smoke_model.py
+
+step "benchmark smoke (every perfbench workload at tiny sizes)"
+python3 perfbench/run.py --smoke
 
 step "ci_check OK"

@@ -15,7 +15,7 @@ from typing import Dict
 
 # A 1-minute load average above this fraction of the core count when the
 # bench starts means some other process is competing for the CPU and the
-# measured ratios are unreliable.
+# run's latencies are unreliable.
 LOADED_THRESHOLD = 0.5
 
 
@@ -25,7 +25,7 @@ def host_snapshot() -> Dict[str, object]:
     Returns a JSON-ready dict with the platform, core count, the 1/5/15
     minute load averages at capture time, and a ``loaded`` flag set when
     the 1-minute average exceeds ``LOADED_THRESHOLD`` of the cores —
-    callers surface it so a noisy run is never committed as a baseline
+    callers surface it so a noisy run's latencies are never trusted
     unknowingly.
     """
     cores = os.cpu_count() or 1
@@ -54,5 +54,5 @@ def describe_host(snapshot: Dict[str, object]) -> str:
         f"loadavg {load.get('1m', '?')}/{load.get('5m', '?')}/{load.get('15m', '?')}"
     )
     if snapshot.get("loaded"):
-        line += " — LOADED: speedup ratios from this run are unreliable as baselines"
+        line += " — LOADED: this run's latencies are unreliable"
     return line

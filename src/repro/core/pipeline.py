@@ -359,13 +359,10 @@ class NetTAGPipeline:
             args["checkpoint_path"] = manifest.checkpoint_path(stage)
         return args
 
-    def _record_trainer_stage(self, stage: str, seconds: float, replayed: bool,
-                              manifest: Optional[RunManifest], done: bool) -> None:
+    def _record_trainer_stage(self, stage: str, seconds: float, replayed: bool) -> None:
         self.summary.record_stage(
             StageTiming(name=stage, seconds=seconds, cached=replayed)
         )
-        if manifest is not None and done:
-            manifest.mark_done(stage)
 
     def pretrain(
         self,
@@ -455,7 +452,6 @@ class NetTAGPipeline:
             self._record_trainer_stage(
                 STAGE_EXPR_PRETRAIN, self.summary.expr_pretrain_seconds,
                 replayed=result.resumed_from_step > 0 and result.resumed_from_step >= result.steps,
-                manifest=manifest, done=result.completed,
             )
             if not result.completed or stop_after == STAGE_EXPR_PRETRAIN:
                 return self._finish_summary(STAGE_EXPR_PRETRAIN)
@@ -480,7 +476,6 @@ class NetTAGPipeline:
                 STAGE_RTL_ALIGN, rtl_seconds,
                 replayed=rtl_result.resumed_from_step > 0
                 and rtl_result.resumed_from_step >= rtl_result.steps,
-                manifest=manifest, done=rtl_result.completed,
             )
             if not rtl_result.completed:
                 self.summary.alignment_seconds = rtl_seconds
@@ -502,7 +497,6 @@ class NetTAGPipeline:
                 STAGE_LAYOUT_ALIGN, layout_seconds,
                 replayed=layout_result.resumed_from_step > 0
                 and layout_result.resumed_from_step >= layout_result.steps,
-                manifest=manifest, done=layout_result.completed,
             )
             self.summary.alignment_seconds = rtl_seconds + layout_seconds
             if not layout_result.completed:
@@ -557,7 +551,6 @@ class NetTAGPipeline:
         self._record_trainer_stage(
             STAGE_TAG_PRETRAIN, self.summary.tag_pretrain_seconds,
             replayed=tag_result.resumed_from_step > 0 and tag_result.resumed_from_step >= tag_result.steps,
-            manifest=manifest, done=tag_result.completed,
         )
         if not tag_result.completed:
             return self._finish_summary(STAGE_TAG_PRETRAIN)

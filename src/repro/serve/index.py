@@ -672,10 +672,11 @@ class EmbeddingIndex:
     def generation(self) -> int:
         """Mutation counter; any add/remove/seal/compact advances it.
 
-        Derived structures (fitted IVF searchers, cached row masks) record
-        the generation they were built at and refresh when it moves — a
-        count-neutral mutation (remove one key, add another) still
-        invalidates them.
+        The cached search metadata records the generation it was built at
+        and refreshes when it moves — a count-neutral mutation (remove one
+        key, add another) still invalidates it.  Searchers key on
+        :meth:`content_fingerprint` instead, which cannot collide across
+        rebuilds.
         """
         return self._generation
 
@@ -752,8 +753,8 @@ class EmbeddingIndex:
         :class:`repro.serve.snapshot.SnapshotManager`); only the pending tail
         is materialised, as a copy, so later ``add`` calls cannot leak into
         the view.  The snapshot duck-types the read surface of this class
-        (``dim``/``generation``/``iter_segments``/``search_metadata``), so
-        :func:`repro.serve.search.exact_topk` and the searchers'
+        (``dim``/``iter_segments``/``search_metadata``/``content_fingerprint``),
+        so :func:`repro.serve.search.exact_topk` and the searchers'
         ``fit``/``sync`` run on it unchanged.
         """
         from .snapshot import ReadSnapshot

@@ -3,13 +3,15 @@
 :class:`~repro.serve.service.NetTAGService` and
 :class:`~repro.serve.replica.ReadReplica` both own one :class:`ReadPath`:
 the snapshot manager, one searcher cache, the HNSW sidecar ladder and one
-:meth:`ReadPath.search`.
+:meth:`ReadPath.search`.  It alone decides when a searcher is refitted,
+with which tuning, and which keys a query excludes; the searchers in
+:mod:`repro.serve.search` only fit a pinned snapshot and search it.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Collection, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -21,6 +23,8 @@ AnySearcher = Union[IVFSearcher, HNSWSearcher]
 
 ALGORITHMS = ("exact", "ivf", "hnsw")
 _SEARCHER_TYPES = {"ivf": IVFSearcher, "hnsw": HNSWSearcher}
+# The tuning a persisted HNSW graph carries (its meta block).
+_HNSW_TUNING = ("M", "ef_construction", "ef_search", "seed")
 
 
 def _fitted_on(snapshot: ReadSnapshot) -> Tuple:
@@ -31,14 +35,16 @@ def _fitted_on(snapshot: ReadSnapshot) -> Tuple:
 class ReadPath:
     """Pinned snapshots plus one searcher cache keyed by ``(algorithm, kind)``.
 
-    A cached searcher is reused only while ``needs_refit`` is false *and*
-    the pinned snapshot's index directory and ``content_fingerprint()``
-    equal the ones recorded at fit time: generation counters can collide
-    across rebuilds and swaps, and two indexes whose manifests carry no id
-    can share a layout fingerprint, but not a directory.  A miss first tries
+    One freshness rule: a cached searcher is reused iff the pinned
+    snapshot's ``(directory, content_fingerprint())`` equals the pair
+    recorded at fit time.  Two indexes whose manifests carry no id can
+    share a layout fingerprint, but not a directory.  A miss first tries
     the snapshot's HNSW sidecar (load → attach when fresh → sync when
-    stale), then fits with the stale entry's tuning, else the last tuning
-    fitted with that algorithm, else the owner's defaults.
+    stale), then fits ``Searcher(kind=kind, **params)``.
+
+    One tuning source: ``params`` is the tuning last installed for that
+    ``(algorithm, kind)``, else the latest tuning installed for the
+    algorithm, else the owner's ``ivf_params``/``hnsw_params``.
 
     ``source`` returns the index served now (a service may swap it);
     snapshots are built from it.
@@ -51,11 +57,10 @@ class ReadPath:
         hnsw_params: Optional[Mapping[str, object]] = None,
     ) -> None:
         self.snapshots = SnapshotManager(lambda: source().snapshot())
-        self._defaults = {"ivf": dict(ivf_params or {}), "hnsw": dict(hnsw_params or {})}
         self._lock = threading.Lock()
-        # (algorithm, kind) -> (searcher, (directory, fingerprint) it was fitted on)
-        self._cache: Dict[Tuple[str, Optional[str]], Tuple[AnySearcher, Tuple]] = {}
-        self._last: Dict[str, AnySearcher] = {}
+        # (algorithm, kind) -> (searcher, (directory, fingerprint) it was fitted on, params)
+        self._cache: Dict[Tuple[str, Optional[str]], Tuple[AnySearcher, Tuple, Dict]] = {}
+        self._latest = {"ivf": dict(ivf_params or {}), "hnsw": dict(hnsw_params or {})}
         self._counters = dict.fromkeys(
             ("hnsw_loaded", "hnsw_synced", "hnsw_refits", "hnsw_sidecar_rejected", "ivf_refits"),
             0,
@@ -68,13 +73,39 @@ class ReadPath:
         k: int = 10,
         kind: Optional[str] = None,
         algorithm: str = "exact",
-        exclude_keys: Optional[Sequence[str]] = None,
+        exclude_keys: Optional[Sequence[Collection[str]]] = None,
     ) -> List[List[SearchHit]]:
-        """Top-k per query row on ``snapshot``; ``"exact"`` touches no cache."""
+        """Top-k per query row on ``snapshot``; ``"exact"`` touches no cache.
+
+        ``exclude_keys`` holds one collection of keys per query row: no row
+        of an excluded key surfaces for that query, in any kind.  This is
+        the one place keys are excluded, for every algorithm: it over-fetches,
+        filters and cuts to ``k``, and fetches twice as many again while a
+        full page filtered below ``k`` (one key may hold a row per kind).
+        """
         if algorithm == "exact":
-            return exact_topk(snapshot, queries, k=k, kind=kind, exclude_keys=exclude_keys)
-        searcher = self.searcher(snapshot, algorithm, kind)
-        return searcher.search(queries, k=k, exclude_keys=exclude_keys)
+            def run(fetch: int) -> List[List[SearchHit]]:
+                return exact_topk(snapshot, queries, k=fetch, kind=kind)
+        else:
+            searcher = self.searcher(snapshot, algorithm, kind)
+
+            def run(fetch: int) -> List[List[SearchHit]]:
+                return searcher.search(queries, k=fetch)
+        if not exclude_keys or not any(exclude_keys):
+            return run(k)
+        if any(isinstance(keys, str) for keys in exclude_keys):
+            raise TypeError("exclude_keys holds one key collection per query row")
+        excluded = [set(keys) for keys in exclude_keys]
+        fetch = k + max(map(len, excluded))
+        while True:
+            rows = run(fetch)
+            kept = [
+                [hit for hit in row if hit.key not in drop][:k]
+                for row, drop in zip(rows, excluded, strict=True)
+            ]
+            if all(len(hits) == k or len(row) < fetch for hits, row in zip(kept, rows)):
+                return kept
+            fetch *= 2
 
     def searcher(
         self, snapshot: ReadSnapshot, algorithm: str, kind: Optional[str] = None
@@ -89,19 +120,16 @@ class ReadPath:
         fitted_on = _fitted_on(snapshot)
         with self._lock:
             entry = self._cache.get((algorithm, kind))
-            template = entry[0] if entry is not None else self._last.get(algorithm)
-        if entry is not None and not entry[0].needs_refit(snapshot) and entry[1] == fitted_on:
+            params = entry[2] if entry is not None else self._latest[algorithm]
+        if entry is not None and entry[1] == fitted_on:
             return entry[0]
         searcher = self._load_sidecar(snapshot, kind) if algorithm == "hnsw" else None
-        if searcher is None:
-            searcher = (
-                template.clone_params(kind=kind)
-                if template is not None
-                else _SEARCHER_TYPES[algorithm](kind=kind, **self._defaults[algorithm])
-            )
-            searcher.fit(snapshot)
+        if searcher is not None:
+            params = {name: getattr(searcher, name) for name in _HNSW_TUNING}
+        else:
+            searcher = _SEARCHER_TYPES[algorithm](kind=kind, **params).fit(snapshot)
             self._count(f"{algorithm}_refits")
-        self._install(algorithm, kind, searcher, fitted_on)
+        self._install(algorithm, kind, searcher, fitted_on, params)
         return searcher
 
     def fit(
@@ -124,7 +152,7 @@ class ReadPath:
         searcher = _SEARCHER_TYPES[algorithm](kind=kind, **params).fit(snapshot)
         if persist:
             searcher.save(hnsw_sidecar_path(snapshot.directory, kind))
-        self._install(algorithm, kind, searcher, _fitted_on(snapshot))
+        self._install(algorithm, kind, searcher, _fitted_on(snapshot), params)
         return searcher
 
     def cached(self, algorithm: str, kind: Optional[str] = None) -> Optional[AnySearcher]:
@@ -133,10 +161,10 @@ class ReadPath:
             entry = self._cache.get((algorithm, kind))
         return entry[0] if entry is not None else None
 
-    def _install(self, algorithm, kind, searcher, fitted_on) -> None:
+    def _install(self, algorithm, kind, searcher, fitted_on, params) -> None:
         with self._lock:
-            self._cache[(algorithm, kind)] = (searcher, fitted_on)
-            self._last[algorithm] = searcher
+            self._cache[(algorithm, kind)] = (searcher, fitted_on, dict(params))
+            self._latest[algorithm] = dict(params)
 
     def _count(self, counter: str) -> None:
         with self._lock:
@@ -168,6 +196,6 @@ class ReadPath:
                 **self._counters,
                 "searchers": {
                     f"{algorithm}:{kind or 'all'}": searcher.stats()
-                    for (algorithm, kind), (searcher, _) in self._cache.items()
+                    for (algorithm, kind), (searcher, _, _) in self._cache.items()
                 },
             }

@@ -237,14 +237,17 @@ class ReadReplica:
     ) -> List[List[SearchHit]]:
         """Top-k per query row on a pinned snapshot (one consistent generation).
 
-        ``algorithm`` is ``"exact"`` (default), ``"ivf"`` or ``"hnsw"``; see
+        ``algorithm`` is ``"exact"`` (default), ``"ivf"`` or ``"hnsw"``;
+        ``exclude_keys`` applies to every query row.  See
         :meth:`ReadPath.search <repro.serve.read_path.ReadPath.search>`.
         """
         if self._closed:
             raise ReplicaError("query on a closed ReadReplica")
+        rows = 1 if np.ndim(queries) == 1 else len(queries)
         with self.read_path.snapshots.pin() as snapshot:
             return self.read_path.search(
-                snapshot, queries, k=k, kind=kind, algorithm=algorithm, exclude_keys=exclude_keys
+                snapshot, queries, k=k, kind=kind, algorithm=algorithm,
+                exclude_keys=[tuple(exclude_keys or ())] * rows,
             )
 
     # ------------------------------------------------------------------

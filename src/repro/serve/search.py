@@ -25,7 +25,9 @@ only with most lists probed or a wide beam (see ``docs/serving.md``,
 
 Scores are cosine similarities in ``[-1, 1]``; ties break deterministically
 by insertion order so repeated queries (and save→load round-trips) return
-identical rankings.
+identical rankings.  The searchers only fit a view and search it: when to
+refit, which tuning to use and which keys to exclude is decided by
+:class:`~repro.serve.read_path.ReadPath`.
 """
 
 from __future__ import annotations
@@ -116,23 +118,19 @@ def exact_topk(
     queries: np.ndarray,
     k: int = 10,
     kind: Optional[str] = None,
-    exclude_keys: Optional[Sequence[str]] = None,
 ) -> List[List[SearchHit]]:
     """Exact cosine top-k of each query row against the whole index.
 
     ``kind`` restricts retrieval to one namespace (e.g. only ``"cone"``
-    rows); ``exclude_keys`` drops specific keys (typically the query's own
-    entry for nearest-neighbour-of-self workloads).  Tombstoned and
-    superseded duplicate rows never surface: for a key stored several times,
-    only its latest row can be returned.
+    rows).  Tombstoned and superseded duplicate rows never surface: for a
+    key stored several times, only its latest row can be returned.
     """
     if k < 1:
         raise ValueError("k must be positive")
     normalised = _normalise_queries(queries, index.dim)
-    excluded = set(exclude_keys or ())
     # Live-row masks (tombstones and superseded duplicates excluded) are
-    # cached on the index per mutation generation; only the rare per-call
-    # exclusions and the kind filter are applied here.
+    # cached on the index per mutation generation; only the kind filter is
+    # applied here.
     metadata = index.search_metadata()
     candidates: List[List[Tuple[float, int, str, str]]] = [[] for _ in range(len(normalised))]
     order = 0
@@ -142,20 +140,17 @@ def exact_topk(
         rows = live_rows
         if kind is not None and len(rows):
             rows = rows[kinds_array[rows] == kind]
-        if excluded and len(rows):
-            rows = np.asarray([r for r in rows if keys[r] not in excluded], dtype=np.int64)
         if not len(rows):
             order += len(keys)
             continue
-        keep_rows = rows
-        block = np.asarray(matrix[keep_rows], dtype=np.float64)
-        sims = normalised @ (block / norms[keep_rows][:, None]).T
+        block = np.asarray(matrix[rows], dtype=np.float64)
+        sims = normalised @ (block / norms[rows][:, None]).T
         # Per-shard shortlist: only the shard's own top-k can survive the merge.
-        take = min(k, len(keep_rows))
+        take = min(k, len(rows))
         shortlist = np.argpartition(-sims, take - 1, axis=1)[:, :take]
         for q in range(sims.shape[0]):
             for c in shortlist[q]:
-                row = int(keep_rows[int(c)])
+                row = int(rows[int(c)])
                 candidates[q].append(
                     (float(sims[q, c]), order + row, keys[row], kinds[row])
                 )
@@ -194,7 +189,7 @@ class IVFSearcher:
     clusters them with seeded k-means and stores one inverted list of
     normalised vectors per centroid.  :meth:`search` scores only the
     ``nprobe`` nearest lists.  The searcher is a derived, in-memory
-    structure: re-fit after the index changes (``needs_refit`` tells you).
+    structure of the view it was fitted on; it never notices later changes.
     """
 
     def __init__(
@@ -216,22 +211,12 @@ class IVFSearcher:
         self.kind = kind
         self._centroids: Optional[np.ndarray] = None
         self._lists: List[Tuple[List[str], List[str], np.ndarray]] = []
-        self._fitted_generation = -1
         self._dim = 0
 
     @property
     def is_fitted(self) -> bool:
         """Whether :meth:`fit` ran (searching before it raises)."""
         return self._centroids is not None
-
-    def needs_refit(self, index: EmbeddingIndex) -> bool:
-        """True once the index mutated after :meth:`fit` (generation moved).
-
-        Count-neutral mutations — removing one key while adding another,
-        re-adding a key with a new vector — advance the generation too, so a
-        stale searcher can never keep serving removed or superseded rows.
-        """
-        return not self.is_fitted or index.generation != self._fitted_generation
 
     def fit(self, index: EmbeddingIndex) -> "IVFSearcher":
         """Snapshot the index's live rows and build the inverted lists."""
@@ -261,15 +246,9 @@ class IVFSearcher:
                     vectors[members],
                 )
             )
-        self._fitted_generation = index.generation
         return self
 
-    def search(
-        self,
-        queries: np.ndarray,
-        k: int = 10,
-        exclude_keys: Optional[Sequence[str]] = None,
-    ) -> List[List[SearchHit]]:
+    def search(self, queries: np.ndarray, k: int = 10) -> List[List[SearchHit]]:
         """Approximate cosine top-k scoring only the ``nprobe`` nearest lists."""
         if self._centroids is None:
             raise RuntimeError("IVFSearcher.search called before fit()")
@@ -277,7 +256,6 @@ class IVFSearcher:
             raise ValueError("k must be positive")
         nprobe = min(self.nprobe, len(self._centroids))
         normalised = _normalise_queries(queries, self._dim)
-        excluded = set(exclude_keys or ())
         centroid_sims = normalised @ self._centroids.T
         probe = np.argpartition(-centroid_sims, nprobe - 1, axis=1)[:, :nprobe]
         candidates: List[List[Tuple[float, int, str, str]]] = []
@@ -290,26 +268,10 @@ class IVFSearcher:
                 sims = vectors @ normalised[q]
                 take = min(k, len(keys))
                 for m in np.argpartition(-sims, take - 1)[:take]:
-                    key = keys[int(m)]
-                    if key in excluded:
-                        continue
-                    pool.append((float(sims[int(m)]), int(c) * 10**9 + int(m), key, kinds[int(m)]))
+                    m = int(m)
+                    pool.append((float(sims[m]), int(c) * 10**9 + m, keys[m], kinds[m]))
             candidates.append(pool)
         return _merge_topk(candidates, k)
-
-    def clone_params(self, kind: Optional[str] = "__same__") -> "IVFSearcher":
-        """A fresh *unfitted* searcher with this one's tuning.
-
-        The service's refit-on-stale path uses this so user tuning survives
-        refits; ``kind`` overrides the namespace (default: keep it).
-        """
-        return IVFSearcher(
-            num_centroids=self.num_centroids,
-            nprobe=self.nprobe,
-            iterations=self.iterations,
-            seed=self.seed,
-            kind=self.kind if kind == "__same__" else kind,
-        )
 
     def stats(self) -> Dict[str, object]:
         """Centroid/list occupancy summary for service reports."""
@@ -383,10 +345,9 @@ class HNSWSearcher:
         self._entry = -1
         self._max_level = -1
         self._dim = 0
-        self._fitted_generation = -1
-        # content_fingerprint() of the index at fit/sync time — the proof a
+        # content_fingerprint() of the view at fit/sync time — the proof a
         # persisted graph offers another process that it matches the on-disk
-        # index content (generation numbers alone can collide across rebuilds).
+        # index content.
         self._fitted_fingerprint: Optional[str] = None
 
     # ------------------------------------------------------------------
@@ -400,27 +361,6 @@ class HNSWSearcher:
     def __len__(self) -> int:
         """Number of indexed vectors."""
         return self._count
-
-    def needs_refit(self, index: EmbeddingIndex) -> bool:
-        """True once the index mutated after :meth:`fit` (generation moved).
-
-        Same contract as :meth:`IVFSearcher.needs_refit`: count-neutral
-        mutations advance the generation too, so a stale graph can never
-        keep serving removed or superseded rows.  Incremental
-        :meth:`insert` calls do *not* clear staleness — only a :meth:`fit`
-        (or :meth:`sync`) against the index does.
-        """
-        return not self.is_fitted or index.generation != self._fitted_generation
-
-    def clone_params(self, kind: Optional[str] = "__same__") -> "HNSWSearcher":
-        """A fresh *unfitted* searcher with this one's tuning."""
-        return HNSWSearcher(
-            M=self.M,
-            ef_construction=self.ef_construction,
-            ef_search=self.ef_search,
-            seed=self.seed,
-            kind=self.kind if kind == "__same__" else kind,
-        )
 
     def structure_digest(self) -> str:
         """SHA-256 over vectors, levels and adjacency — bit-identity probe.
@@ -449,9 +389,8 @@ class HNSWSearcher:
         The format is a versioned ``.npz``: the float64 unit vectors, the
         per-node levels, the adjacency flattened to ``(link_counts,
         link_flat)`` in node-major/level order, the key/kind arrays and a
-        JSON meta block carrying the tuning parameters plus three
-        provenance stamps — the fitted index generation, the index
-        :meth:`content_fingerprint
+        JSON meta block carrying the tuning parameters plus two provenance
+        stamps — the index :meth:`content_fingerprint
         <repro.serve.index.EmbeddingIndex.content_fingerprint>` and this
         graph's :meth:`structure_digest`.  :meth:`load` restores the graph
         bit-identically (same digest); :meth:`attach` uses the fingerprint
@@ -483,7 +422,6 @@ class HNSWSearcher:
             "dim": self._dim,
             "entry": self._entry,
             "max_level": self._max_level,
-            "fitted_generation": self._fitted_generation,
             "index_fingerprint": self._fitted_fingerprint,
             "structure_digest": self.structure_digest(),
         }
@@ -512,6 +450,7 @@ class HNSWSearcher:
         unreadable, a different format version, internally inconsistent, or
         its arrays fail the stored :meth:`structure_digest` — a loaded graph
         is either exactly the one saved or an error, never silently wrong.
+        A ``fitted_generation`` stamp in older files is ignored.
         """
         path = Path(path)
         try:
@@ -568,7 +507,6 @@ class HNSWSearcher:
         searcher._links = links
         searcher._entry = int(meta["entry"])
         searcher._max_level = int(meta["max_level"])
-        searcher._fitted_generation = int(meta["fitted_generation"])
         searcher._fitted_fingerprint = meta.get("index_fingerprint")
         if searcher.structure_digest() != meta.get("structure_digest"):
             raise IndexFormatError(
@@ -577,20 +515,13 @@ class HNSWSearcher:
         return searcher
 
     def attach(self, index) -> bool:
-        """Bind a loaded graph to an independently-opened index, if fresh.
+        """Whether a loaded graph was fitted on exactly ``index``'s content.
 
-        Returns ``True`` — and adopts ``index``'s generation, so
-        :meth:`needs_refit` reports fresh — only when ``index``'s
-        ``content_fingerprint()`` equals the one this graph was fitted
-        against.  Returns ``False`` (graph stays stale) when the index has
-        no fingerprint or the contents moved; callers then fall back to
-        :meth:`sync` or :meth:`fit`.
+        ``True`` only when ``index.content_fingerprint()`` equals the one
+        stamped at fit/sync time; callers then serve the graph as is, and
+        otherwise fall back to :meth:`sync` or :meth:`fit`.
         """
-        fingerprint = index.content_fingerprint()
-        if fingerprint is None or self._fitted_fingerprint != fingerprint:
-            return False
-        self._fitted_generation = int(index.generation)
-        return True
+        return self._fitted_fingerprint == index.content_fingerprint()
 
     def stats(self) -> Dict[str, object]:
         """Graph occupancy summary for service reports."""
@@ -804,7 +735,6 @@ class HNSWSearcher:
                 self.insert(keys_s[row], block[offset], kind=kinds_s[row])
         if not self._count:
             raise ValueError("cannot fit an HNSW searcher on an empty index")
-        self._fitted_generation = index.generation
         self._fitted_fingerprint = index.content_fingerprint()
         return self
 
@@ -812,19 +742,16 @@ class HNSWSearcher:
         """Incrementally absorb rows added since the last fit, if possible.
 
         Pure appends (new ``(key, kind)`` rows only) are inserted in place
-        and the fitted generation advances; any other mutation (remove, or a
-        known row whose vector changed — a supersede or a rebuild) falls
-        back to a full :meth:`fit`.  A compaction moves rows without
+        and the fitted fingerprint moves to ``index``'s; any other mutation
+        (remove, or a known row whose vector changed — a supersede or a
+        rebuild) falls back to a full :meth:`fit`.  A compaction moves rows without
         changing them, so it costs no rebuild.  Returns the number of rows
         inserted (or re-inserted by the fallback).
         """
         if not self.is_fitted:
             self.fit(index)
             return self._count
-        # Generation counters collide across rebuilds; content does not.
-        if index.generation == self._fitted_generation and index.content_fingerprint() in (
-            None, self._fitted_fingerprint
-        ):
+        if self.attach(index):
             return 0
         nodes = {pair: node for node, pair in enumerate(zip(self._keys, self._kinds))}
         fresh: List[Tuple[str, str, np.ndarray]] = []
@@ -850,19 +777,13 @@ class HNSWSearcher:
             return self._count
         for key, kind, vector in fresh:
             self.insert(key, vector, kind=kind)
-        self._fitted_generation = index.generation
         self._fitted_fingerprint = index.content_fingerprint()
         return len(fresh)
 
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
-    def search(
-        self,
-        queries: np.ndarray,
-        k: int = 10,
-        exclude_keys: Optional[Sequence[str]] = None,
-    ) -> List[List[SearchHit]]:
+    def search(self, queries: np.ndarray, k: int = 10) -> List[List[SearchHit]]:
         """Approximate cosine top-k via greedy descent + layer-0 beam search."""
         if not self.is_fitted:
             raise RuntimeError("HNSWSearcher.search called before fit()/insert()")
@@ -870,9 +791,6 @@ class HNSWSearcher:
             raise ValueError("k must be positive")
         ef = max(self.ef_search, k)
         normalised = _normalise_queries(queries, self._dim)
-        excluded = set(exclude_keys or ())
-        # Over-fetch so exclusions cannot shrink a result list below k.
-        beam = ef + len(excluded)
         results: List[List[SearchHit]] = []
         for q in range(len(normalised)):
             query = normalised[q]
@@ -880,16 +798,12 @@ class HNSWSearcher:
             ep = self._entry
             for lc in range(self._max_level, 0, -1):
                 sim, ep = self._greedy_descent(query, ep, sim, lc)
-            found = self._search_layer(query, [(sim, ep)], beam, 0)
-            hits: List[SearchHit] = []
-            for score, node in sorted(found, key=lambda item: (-item[0], item[1])):
-                key = self._keys[node]
-                if key in excluded:
-                    continue
-                hits.append(SearchHit(key=key, kind=self._kinds[node], score=float(score)))
-                if len(hits) == k:
-                    break
-            results.append(hits)
+            found = self._search_layer(query, [(sim, ep)], ef, 0)
+            ranked = sorted(found, key=lambda item: (-item[0], item[1]))[:k]
+            results.append([
+                SearchHit(key=self._keys[node], kind=self._kinds[node], score=float(score))
+                for score, node in ranked
+            ])
         return results
 
 

@@ -32,7 +32,7 @@ from ..nn import use_backend
 from .index import EmbeddingIndex
 from .read_path import ALGORITHMS, AnySearcher, ReadPath
 from .scheduler import BatchScheduler
-from .search import SearchHit, exact_topk, live_blocks
+from .search import SearchHit, live_blocks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a core<->serve cycle
     from ..core.nettag import CircuitEmbedding, NetTAG
@@ -227,11 +227,11 @@ class NetTAGService:
         Each source kind gets one batched encoder pass under the model lock
         and the service backend (cone encodes and cone queries share one
         ``encode_batch``).  The queries then search one pinned snapshot,
-        outside the lock, one search per ``(algorithm, k, to_kind)`` group.
-        A failing search group fails only its own requests.  Approximate
-        searchers are normally fitted before submission (see
-        :meth:`submit_query`); one is refitted here only when the index
-        changed in between.
+        outside the lock, one search per ``(algorithm, k, to_kind)`` group,
+        each request with its own exclusions.  A failing search group fails
+        only its own requests.  Approximate searchers are normally fitted
+        before submission (see :meth:`submit_query`); one is refitted here
+        only when the index changed in between.
         """
         results: List[object] = [None] * len(requests)
         by_source: Dict[str, List[int]] = {}
@@ -257,20 +257,15 @@ class NetTAGService:
         if groups:
             with self._pin_current() as snapshot:
                 for (algorithm, k, to_kind), positions in groups.items():
-                    specs = [requests[p][1] for p in positions]
-                    # Over-fetch by the widest exclusion so filtering never
-                    # shrinks a result below k (keys are unique per kind).
-                    extra = max(len(spec.exclude_keys) for spec in specs)
                     try:
                         hits = self.read_path.search(
                             snapshot, np.stack([vectors[p] for p in positions]),
-                            k=k + extra, kind=to_kind, algorithm=algorithm,
+                            k=k, kind=to_kind, algorithm=algorithm,
+                            exclude_keys=[requests[p][1].exclude_keys for p in positions],
                         )
                     except Exception as error:  # noqa: BLE001 - fails this group only
                         hits = [error] * len(positions)
-                    for position, spec, row in zip(positions, specs, hits):
-                        if not isinstance(row, Exception):
-                            row = [hit for hit in row if hit.key not in spec.exclude_keys][:k]
+                    for position, row in zip(positions, hits):
                         results[position] = row
         return results
 
@@ -395,7 +390,7 @@ class NetTAGService:
     def add_cones(
         self, netlist_name: str, cones: Sequence["RegisterCone"], flush: bool = True
     ) -> int:
-        """Encode register cones (one batched pass) and index them."""
+        """Encode register cones (one batched pass) and index them (one ``add``)."""
         self._require_index()
         with self._model_lock, use_backend(self.backend):
             vectors = [
@@ -404,12 +399,9 @@ class NetTAGService:
             ]
         with self._index_lock:
             index = self._require_index()
-            for cone, vector in zip(cones, vectors):
-                index.add(
-                    [cone_key(netlist_name, cone.register_name)],
-                    vector[None, :],
-                    kinds=CONE_KIND,
-                )
+            if vectors:
+                keys = [cone_key(netlist_name, cone.register_name) for cone in cones]
+                index.add(keys, np.stack(vectors), kinds=CONE_KIND)
             if flush:
                 index.save()
             self.read_path.snapshots.refresh()
@@ -513,8 +505,9 @@ class NetTAGService:
         """Pairs of index entries with cosine similarity ≥ ``threshold``.
 
         Each live entry of ``kind`` is queried against the index (batched
-        matmuls, one query block per shard segment); every pair is reported
-        once, lexicographically ordered, most similar first.
+        matmuls, one query block per shard segment, its own key excluded);
+        every pair is reported once, lexicographically ordered, most similar
+        first.
         """
         self._require_index()
         pairs: Dict[Tuple[str, str], float] = {}
@@ -524,14 +517,16 @@ class NetTAGService:
         # scan runs on one pinned snapshot, outside the service's locks.
         with self._pin_current() as snapshot:
             for keys, _, rows, block, norms in live_blocks(snapshot, kind):
-                hits = exact_topk(snapshot, block / norms[:, None], k=k + 1, kind=kind)
-                for r, row_hits in zip(rows, hits):
-                    r = int(r)
+                own = [keys[int(r)] for r in rows]
+                hits = self.read_path.search(
+                    snapshot, block / norms[:, None], k=k, kind=kind,
+                    exclude_keys=[(key,) for key in own],
+                )
+                for key, row_hits in zip(own, hits):
                     for hit in row_hits:
-                        if hit.key == keys[r] or hit.score < threshold:
-                            continue
-                        pair = tuple(sorted((keys[r], hit.key)))
-                        pairs[pair] = max(pairs.get(pair, -1.0), hit.score)
+                        if hit.score >= threshold:
+                            pair = tuple(sorted((key, hit.key)))
+                            pairs[pair] = max(pairs.get(pair, -1.0), hit.score)
         ranked = sorted(pairs.items(), key=lambda item: (-item[1], item[0]))
         return [(a, b, score) for (a, b), score in ranked]
 

@@ -10,7 +10,7 @@ split works like an MVCC storage engine:
   with the index (whose mutations replace a shard's metadata tuple, never
   mutate it).  It duck-types the read surface
   :func:`repro.serve.search.exact_topk` and the searchers' ``fit`` consume
-  (``dim`` / ``generation`` / ``iter_segments`` / ``search_metadata``), so
+  (``dim`` / ``iter_segments`` / ``search_metadata`` / ``content_fingerprint``), so
   every search path runs unchanged on a snapshot.
 * :class:`SnapshotManager` hands out **pinned** snapshots to readers
   (refcounted context managers) and atomically publishes a new snapshot per
@@ -55,11 +55,11 @@ class ReadSnapshot:
         generation: int,
         segments: List[Segment],
         metadata: List[Metadata],
-        content_fingerprint: Optional[str] = None,
+        content_fingerprint: str,
         directory: Optional[Path] = None,
     ) -> None:
         self.dim = int(dim)
-        # The index directory this view was taken from (None for bare views).
+        # The index directory this view was taken from.
         self.directory = directory
         self.generation = int(generation)
         self._segments = list(segments)
@@ -74,8 +74,8 @@ class ReadSnapshot:
         """Per-segment ``(keys, kinds_array, live_rows)``, frozen at pin time."""
         return self._metadata
 
-    def content_fingerprint(self) -> Optional[str]:
-        """The index's content hash at pin time (``None`` for bare views)."""
+    def content_fingerprint(self) -> str:
+        """The index's content hash at pin time (what cached searchers key on)."""
         return self._content_fingerprint
 
 

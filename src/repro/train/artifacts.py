@@ -10,9 +10,9 @@ of recomputing it, and any config/seed change produces a different key and a
 clean recompute.  Every stage run — cached or computed — is timed, and the
 timings surface in the pipeline summary so cache hits are observable.
 
-:class:`RunManifest` is the small JSON ledger a resumable pre-training run
-keeps next to its checkpoints: which training stages have finished, and where
-each stage's final snapshot lives.
+:class:`RunManifest` is the small JSON stamp a resumable pre-training run
+keeps next to its checkpoints: which run they belong to, and where each
+stage's snapshot lives.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import pickle
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
 from ..nn.serialization import atomic_write
 
@@ -183,7 +183,9 @@ class ArtifactStore:
             "bytes": len(blob),
             "sha256": digest,
         }
-        self._manifest_path(stage, key).write_text(json.dumps(manifest, indent=2))
+        text = json.dumps(manifest, indent=2)
+        path = self._manifest_path(stage, key)
+        atomic_write(path, path.name + ".tmp", lambda tmp: tmp.write_text(text))
 
     # ------------------------------------------------------------------
     def stage(self, name: str, key_payload: Mapping[str, Any]) -> StageRun:
@@ -213,12 +215,12 @@ class ArtifactStore:
 # Run manifest (resumable multi-stage training)
 # ----------------------------------------------------------------------
 class RunManifest:
-    """JSON ledger of a multi-stage training run's completed stages.
+    """The run key a multi-stage training run stamps on its checkpoint directory.
 
-    Lives in the checkpoint directory as ``manifest.json``.  A stage is either
-    absent (never started / in flight, with only its periodic trainer
-    checkpoint on disk), or recorded as done together with any
-    JSON-serialisable stage results the caller attaches.
+    Lives in the checkpoint directory as ``manifest.json``.  Each training
+    stage resumes from its own checkpoint (:meth:`checkpoint_path`); the
+    manifest only ties those checkpoints to the run's configuration and
+    corpus, and clears them when a different run opens the directory.
     """
 
     def __init__(self, directory: PathLike, run_key: str) -> None:
@@ -226,18 +228,17 @@ class RunManifest:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.path = self.directory / "manifest.json"
         self.run_key = run_key
-        self._data: Dict[str, Any] = {"run_key": run_key, "stages": {}}
-        if self.path.exists():
-            try:
-                loaded = json.loads(self.path.read_text())
-            except json.JSONDecodeError:
-                loaded = None
-            if loaded is not None and loaded.get("run_key") == run_key:
-                self._data = loaded
-            else:
-                # The directory belongs to a run with a different config/seed:
-                # its checkpoints cannot be resumed, so clear them out.
-                self.reset()
+        if not self.path.exists():
+            self._write()
+            return
+        try:
+            loaded = json.loads(self.path.read_text())
+        except json.JSONDecodeError:
+            loaded = None
+        if not isinstance(loaded, dict) or loaded.get("run_key") != run_key:
+            # The directory belongs to a run with a different config/seed:
+            # its checkpoints cannot be resumed, so clear them out.
+            self.reset()
 
     # ------------------------------------------------------------------
     def checkpoint_path(self, stage: str) -> Path:
@@ -249,36 +250,19 @@ class RunManifest:
         """
         return self.directory / f"{stage}.ckpt.npz"
 
-    def is_done(self, stage: str) -> bool:
-        """Whether a stage was marked complete in this run."""
-        return self._data["stages"].get(stage, {}).get("done", False)
-
-    def stage_record(self, stage: str) -> Dict[str, Any]:
-        """The stored record of one stage (empty dict when absent)."""
-        return dict(self._data["stages"].get(stage, {}))
-
-    def mark_done(self, stage: str, **record: Any) -> None:
-        """Record a stage as complete (atomically rewrites the manifest)."""
-        self._data["stages"][stage] = {"done": True, **record}
-        self._write()
-
     def reset(self) -> None:
-        """Forget every stage (config changed; old snapshots are stale).
+        """Delete the stage checkpoints and stamp this run's key.
 
         Only the manifest's own stage checkpoints (``*.ckpt.npz``) are
         removed — the directory may also hold unrelated files such as a saved
         model the user pointed ``checkpoint_dir`` at.
         """
-        self._data = {"run_key": self.run_key, "stages": {}}
         for stale in self.directory.glob("*.ckpt.npz"):
             stale.unlink()
         self._write()
 
     def _write(self) -> None:
-        self.path.write_text(json.dumps(self._data, indent=2))
-
-    def completed_stages(self) -> Iterator[str]:
-        """Names of every stage marked complete, in manifest order."""
-        for stage, record in self._data["stages"].items():
-            if record.get("done"):
-                yield stage
+        # Atomic: a write torn by a crash would read as a different run on
+        # the next open, and that reset deletes the checkpoints to resume.
+        text = json.dumps({"run_key": self.run_key}, indent=2)
+        atomic_write(self.path, self.path.name + ".tmp", lambda tmp: tmp.write_text(text))

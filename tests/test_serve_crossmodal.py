@@ -352,13 +352,12 @@ class TestServiceQueries:
         try:
             items = [it for it in pipeline.multimodal_items() if it.rtl_text]
             searcher = service.fit_searcher(num_centroids=4, nprobe=4, kind=RTL_KIND)
-            assert not searcher.needs_refit(index)
+            assert service.read_path.cached("ivf", RTL_KIND) is searcher
             removed_keys = [it.key for it in items[:2]]
             assert index.remove(removed_keys, kind=RTL_KIND) == 2
-            # The generation moved: the fitted searcher is stale and the
-            # service refits before answering, so removed rtl rows can never
-            # surface (their cone/layout partners stay live).
-            assert searcher.needs_refit(index)
+            # The content fingerprint moved: the fitted searcher is stale and
+            # the service refits before answering, so removed rtl rows can
+            # never surface (their cone/layout partners stay live).
             hits = service.query(
                 items[2].rtl_text, RTL_KIND, to_kind=RTL_KIND, k=len(items),
                 algorithm="ivf",

@@ -322,6 +322,7 @@ class TestRetirementCallbackFaults:
         return SnapshotManager(
             lambda: ReadSnapshot(
                 dim=2, generation=next(generations), segments=[], metadata=[],
+                content_fingerprint="empty",
             )
         )
 

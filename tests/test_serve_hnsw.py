@@ -9,10 +9,10 @@ rather than a handful of fixtures:
 * **Deterministic rebuild** — two fits with the same seed over the same
   index produce bit-identical structures (``structure_digest``), the
   property the hot-swap story and the fault-injection suite lean on.
-* **Staleness parity with IVF** — ``needs_refit`` answers exactly like the
-  IVF searcher's for every index mutation pattern (append, remove,
-  supersede, compact), so the service's refit-on-stale logic is
-  algorithm-agnostic.
+* **Staleness parity with IVF** — the read path refits an HNSW graph
+  exactly when it refits an IVF searcher, for every index mutation pattern
+  (append, remove, supersede, compact): freshness is one content-fingerprint
+  rule, not a per-algorithm check.
 
 Plus the persistence contract (``TestPersistence``): a ``save``d graph
 ``load``s back bit-identically (same ``structure_digest``), ``attach``
@@ -33,6 +33,7 @@ from repro.serve import (
     HNSWSearcher,
     IndexFormatError,
     IVFSearcher,
+    ReadPath,
     exact_topk,
     recall_at_k,
 )
@@ -128,10 +129,13 @@ class TestRecallFloor:
         index = _corpus_index(tmp_path, 60, 12, seed=3)
         rng = np.random.default_rng(4)
         queries = rng.normal(size=(3, 12))
-        searcher = HNSWSearcher(M=8, seed=0).fit(index)
-        baseline = searcher.search(queries, k=5)
-        excluded = {hit.key for hit in baseline[0][:2]}
-        rows = searcher.search(queries, k=5, exclude_keys=sorted(excluded))
+        read_path = ReadPath(lambda: index, hnsw_params={"M": 8, "seed": 0})
+        with read_path.snapshots.pin() as snapshot:
+            baseline = read_path.search(snapshot, queries, k=5, algorithm="hnsw")
+            excluded = {hit.key for hit in baseline[0][:2]}
+            rows = read_path.search(
+                snapshot, queries, k=5, algorithm="hnsw", exclude_keys=[excluded] * 3
+            )
         for row in rows:
             assert len(row) == 5
             assert not excluded & {hit.key for hit in row}
@@ -170,7 +174,7 @@ class TestDeterministicRebuild:
         index.add([f"new{i}" for i in range(20)], fresh, kinds="cone")
         added = searcher.sync(index)
         assert added == 20
-        assert not searcher.needs_refit(index)
+        assert searcher.attach(index)
         hits = searcher.search(fresh[:5], k=1)
         assert [row[0].key for row in hits] == [f"new{i}" for i in range(5)]
 
@@ -181,23 +185,39 @@ class TestDeterministicRebuild:
         first_key = index.keys()[0]
         index.add([first_key], moved[None, :], kinds="cone")
         searcher.sync(index)
-        assert not searcher.needs_refit(index)
+        assert searcher.attach(index)
         assert searcher.structure_digest() == HNSWSearcher(M=8, seed=0).fit(index).structure_digest()
         hit = searcher.search(moved[None, :], k=1)[0][0]
         assert (hit.key, round(hit.score, 9)) == (first_key, 1.0)
 
 
 class TestStalenessParityWithIVF:
+    """The read path's one freshness rule, seen from both algorithms."""
+
     @pytest.fixture()
     def pair(self, tmp_path):
         index = _corpus_index(tmp_path, 60, 12, seed=2)
-        hnsw = HNSWSearcher(M=8, seed=0).fit(index)
-        ivf = IVFSearcher(num_centroids=8, nprobe=4, seed=0).fit(index)
-        return index, hnsw, ivf
+        read_path = ReadPath(
+            lambda: index,
+            ivf_params={"num_centroids": 8, "nprobe": 4, "seed": 0},
+            hnsw_params={"M": 8, "seed": 0},
+        )
+        with read_path.snapshots.pin() as snapshot:
+            hnsw = read_path.searcher(snapshot, "hnsw")
+            ivf = read_path.searcher(snapshot, "ivf")
+        return index, read_path, hnsw, ivf
+
+    @staticmethod
+    def _stale(read_path, fitted) -> dict:
+        """Per algorithm: would the read path refit instead of reusing ``fitted``?"""
+        read_path.snapshots.refresh()
+        with read_path.snapshots.pin() as snapshot:
+            return {alg: read_path.searcher(snapshot, alg) is not fitted[alg] for alg in fitted}
 
     def test_fresh_fit_is_not_stale(self, pair):
-        index, hnsw, ivf = pair
-        assert hnsw.needs_refit(index) == ivf.needs_refit(index) == False  # noqa: E712
+        index, read_path, hnsw, ivf = pair
+        assert self._stale(read_path, {"hnsw": hnsw, "ivf": ivf}) == {"hnsw": False, "ivf": False}
+        assert read_path.stats()["hnsw_refits"] == read_path.stats()["ivf_refits"] == 1
 
     @pytest.mark.parametrize(
         "mutate",
@@ -210,28 +230,35 @@ class TestStalenessParityWithIVF:
         ids=["append", "remove", "supersede", "compact"],
     )
     def test_every_mutation_marks_both_stale(self, pair, mutate):
-        index, hnsw, ivf = pair
+        index, read_path, hnsw, ivf = pair
         mutate(index)
-        assert hnsw.needs_refit(index) is True
-        assert hnsw.needs_refit(index) == ivf.needs_refit(index)
+        assert self._stale(read_path, {"hnsw": hnsw, "ivf": ivf}) == {"hnsw": True, "ivf": True}
 
-    def test_unfitted_searchers_report_stale(self, pair):
-        index, _, _ = pair
-        assert HNSWSearcher(M=8).needs_refit(index)
-        assert IVFSearcher().needs_refit(index)
+    def test_unfitted_searchers_report_stale(self, tmp_path):
+        index = _corpus_index(tmp_path, 60, 12, seed=2)
+        read_path = ReadPath(lambda: index)
+        assert read_path.cached("hnsw") is None and read_path.cached("ivf") is None
+        with read_path.snapshots.pin() as snapshot:
+            read_path.searcher(snapshot, "hnsw")
+            read_path.searcher(snapshot, "ivf")
+        assert read_path.stats()["hnsw_refits"] == read_path.stats()["ivf_refits"] == 1
 
-    def test_clone_params_preserves_tuning_and_drops_fit(self, pair):
-        index, hnsw, ivf = pair
-        clone = hnsw.clone_params(kind="circuit")
-        assert (clone.M, clone.ef_construction, clone.ef_search, clone.seed) == (
-            hnsw.M,
-            hnsw.ef_construction,
-            hnsw.ef_search,
-            hnsw.seed,
-        )
-        assert clone.kind == "circuit" and not clone.is_fitted
-        ivf_clone = ivf.clone_params()
-        assert ivf_clone.nprobe == ivf.nprobe and not ivf_clone._centroids
+    def test_refit_keeps_tuning_and_untuned_kinds_inherit_it(self, tmp_path):
+        index = _corpus_index(tmp_path, 60, 12, seed=2, kinds=("cone", "circuit"))
+        read_path = ReadPath(lambda: index, ivf_params={"num_centroids": 8, "nprobe": 4})
+        with read_path.snapshots.pin() as snapshot:
+            tuned = read_path.fit(snapshot, "hnsw", kind="cone", M=6, ef_search=20, seed=3)
+            untuned = read_path.searcher(snapshot, "hnsw", kind="circuit")
+        index.add(["extra"], np.ones((1, 12)), kinds="cone")
+        read_path.snapshots.refresh()
+        with read_path.snapshots.pin() as snapshot:
+            refitted = read_path.searcher(snapshot, "hnsw", kind="cone")
+            ivf = read_path.searcher(snapshot, "ivf", kind="cone")
+        assert refitted is not tuned and refitted.is_fitted
+        for searcher in (refitted, untuned):
+            assert (searcher.M, searcher.ef_search, searcher.seed) == (6, 20, 3)
+        assert (untuned.kind, refitted.kind) == ("circuit", "cone")
+        assert (ivf.num_centroids, ivf.nprobe) == (8, 4)
 
 
 class TestPersistence:
@@ -265,13 +292,31 @@ class TestPersistence:
         reopened = EmbeddingIndex.open(index.directory)
         loaded = HNSWSearcher.load(path)
         assert loaded.attach(reopened) is True
-        assert not loaded.needs_refit(reopened)
+        assert loaded.sync(reopened) == 0
 
         reopened.add(["moved"], np.ones((1, 16)), kinds="cone")
         reopened.save()
         stale = HNSWSearcher.load(path)
         assert stale.attach(reopened) is False
-        assert stale.needs_refit(reopened)
+        assert stale.sync(reopened) == 1
+        assert stale.attach(reopened) is True
+
+    def test_sidecar_with_a_generation_stamp_loads_and_attaches(self, tmp_path):
+        """Older sidecars also stamped ``fitted_generation``; it is ignored."""
+        import json as _json
+
+        index, fitted, path = self._saved(tmp_path)
+        with np.load(path, allow_pickle=False) as payload:
+            arrays = {name: payload[name].copy() for name in payload.files}
+        meta = _json.loads(bytes(arrays["meta"]).decode())
+        assert "fitted_generation" not in meta
+        meta["fitted_generation"] = 41
+        arrays["meta"] = np.frombuffer(_json.dumps(meta).encode(), dtype=np.uint8)
+        with open(path, "wb") as handle:
+            np.savez(handle, **arrays)
+        loaded = HNSWSearcher.load(path)
+        assert loaded.structure_digest() == fitted.structure_digest()
+        assert loaded.attach(EmbeddingIndex.open(index.directory)) is True
 
     def test_save_before_fit_raises(self, tmp_path):
         with pytest.raises(RuntimeError, match="before fit"):

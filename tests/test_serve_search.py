@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.serve import EmbeddingIndex, IVFSearcher, exact_topk, recall_at_k
+from repro.serve import EmbeddingIndex, IVFSearcher, ReadPath, exact_topk, recall_at_k
 
 
 def brute_force_topk(matrix: np.ndarray, query: np.ndarray, k: int) -> list:
@@ -54,9 +54,11 @@ class TestExactTopK:
     def test_exclude_keys_and_tombstones_never_surface(self, filled_index):
         index, vectors = filled_index
         index.remove(["k0"])
-        hits = exact_topk(index, vectors[0], k=5, exclude_keys=["k1"])[0]
+        read_path = ReadPath(lambda: index)
+        with read_path.snapshots.pin() as snapshot:
+            hits = read_path.search(snapshot, vectors[0], k=5, exclude_keys=[["k1"]])[0]
         keys = {hit.key for hit in hits}
-        assert "k0" not in keys and "k1" not in keys
+        assert len(keys) == 5 and "k0" not in keys and "k1" not in keys
 
     def test_superseded_duplicate_rows_do_not_surface(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -129,30 +131,42 @@ class TestIVFSearcher:
         for hits_a, hits_b in zip(a.search(queries, k=4), b.search(queries, k=4)):
             assert [h.key for h in hits_a] == [h.key for h in hits_b]
 
+    # Freshness belongs to ReadPath: a cached searcher is reused iff the
+    # snapshot's (directory, content fingerprint) is the one it was fitted on.
+    @staticmethod
+    def _refits_after(index, mutate) -> bool:
+        read_path = ReadPath(lambda: index, ivf_params={"num_centroids": 2, "seed": 0})
+        with read_path.snapshots.pin() as snapshot:
+            fitted = read_path.searcher(snapshot, "ivf")
+            assert read_path.searcher(snapshot, "ivf") is fitted
+        mutate(index)
+        read_path.snapshots.refresh()
+        with read_path.snapshots.pin() as snapshot:
+            return read_path.searcher(snapshot, "ivf") is not fitted
+
     def test_needs_refit_after_index_growth(self, tmp_path):
         index, _ = self.make_clustered_index(tmp_path, clusters=2, per_cluster=5)
-        searcher = IVFSearcher(num_centroids=2, seed=0).fit(index)
-        assert not searcher.needs_refit(index)
-        index.add(["extra"], np.random.default_rng(0).normal(size=(1, 16)))
-        assert searcher.needs_refit(index)
+        extra = np.random.default_rng(0).normal(size=(1, 16))
+        assert self._refits_after(index, lambda ix: ix.add(["extra"], extra))
 
     def test_needs_refit_after_count_neutral_mutation(self, tmp_path):
         """Remove one key + add another (len unchanged) must invalidate."""
         index, _ = self.make_clustered_index(tmp_path, clusters=2, per_cluster=5)
-        searcher = IVFSearcher(num_centroids=2, seed=0).fit(index)
         before = len(index)
-        index.remove(["k0"])
-        index.add(["fresh"], np.random.default_rng(1).normal(size=(1, 16)))
+        fresh = np.random.default_rng(1).normal(size=(1, 16))
+
+        def swap_one(ix):
+            ix.remove(["k0"])
+            ix.add(["fresh"], fresh)
+
+        assert self._refits_after(index, swap_one)
         assert len(index) == before
-        assert searcher.needs_refit(index)
 
     def test_needs_refit_after_vector_update(self, tmp_path):
         """Re-adding an existing key with a new vector must invalidate."""
         index, vectors = self.make_clustered_index(tmp_path, clusters=2, per_cluster=5)
-        searcher = IVFSearcher(num_centroids=2, seed=0).fit(index)
-        index.add(["k0"], -vectors[0][None, :])
+        assert self._refits_after(index, lambda ix: ix.add(["k0"], -vectors[0][None, :]))
         assert len(index) == len(vectors)
-        assert searcher.needs_refit(index)
 
     def test_fit_skips_tombstoned_and_superseded_rows(self, tmp_path):
         rng = np.random.default_rng(4)

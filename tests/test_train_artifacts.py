@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from repro.train import ArtifactStore, RunManifest, fingerprint
 
@@ -103,29 +107,45 @@ class TestAtomicWrites:
 
 
 class TestRunManifest:
-    def test_tracks_stage_completion(self, tmp_path):
+    def test_same_run_key_keeps_checkpoints(self, tmp_path):
         manifest = RunManifest(tmp_path, run_key="abc")
-        assert not manifest.is_done("expr_pretrain")
-        manifest.mark_done("expr_pretrain", steps=6)
-        assert manifest.is_done("expr_pretrain")
-        assert manifest.stage_record("expr_pretrain")["steps"] == 6
+        assert json.loads(manifest.path.read_text()) == {"run_key": "abc"}
+        manifest.checkpoint_path("expr_pretrain").write_bytes(b"resume me")
+        reopened = RunManifest(tmp_path, run_key="abc")
+        assert reopened.checkpoint_path("expr_pretrain").read_bytes() == b"resume me"
 
-        reloaded = RunManifest(tmp_path, run_key="abc")
-        assert reloaded.is_done("expr_pretrain")
-        assert list(reloaded.completed_stages()) == ["expr_pretrain"]
+    def test_interrupted_write_keeps_manifest_and_checkpoints(self, tmp_path, monkeypatch):
+        manifest = RunManifest(tmp_path, run_key="abc")
+        checkpoint = manifest.checkpoint_path("expr_pretrain")
+        checkpoint.write_bytes(b"resume me")
+        before = manifest.path.read_bytes()
+
+        def torn_write(path, text, *args, **kwargs):
+            with open(path, "w") as handle:
+                handle.write(text[: len(text) // 2])
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(Path, "write_text", torn_write)
+        with pytest.raises(KeyboardInterrupt):
+            manifest._write()  # a crash mid-rewrite
+        monkeypatch.undo()
+        assert manifest.path.read_bytes() == before
+        assert list(tmp_path.glob("*.tmp")) == []
+        # The next open still reads this run's key, so it resets nothing.
+        RunManifest(tmp_path, run_key="abc")
+        assert checkpoint.read_bytes() == b"resume me"
 
     def test_key_mismatch_resets_stale_checkpoints(self, tmp_path):
         manifest = RunManifest(tmp_path, run_key="abc")
-        manifest.mark_done("expr_pretrain")
         manifest.checkpoint_path("expr_pretrain").write_bytes(b"stale")
         # Unrelated files in the same directory (e.g. a saved model the user
         # pointed checkpoint_dir at) must survive the reset.
         (tmp_path / "model.npz").write_bytes(b"precious")
 
         fresh = RunManifest(tmp_path, run_key="different")
-        assert not fresh.is_done("expr_pretrain")
         assert not fresh.checkpoint_path("expr_pretrain").exists()
         assert (tmp_path / "model.npz").read_bytes() == b"precious"
+        assert json.loads(fresh.path.read_text()) == {"run_key": "different"}
 
     def test_checkpoint_paths_are_stage_scoped(self, tmp_path):
         manifest = RunManifest(tmp_path, run_key="abc")
