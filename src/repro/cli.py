@@ -28,7 +28,7 @@ Three subcommands cover the typical workflow of a downstream user:
     side exists), ``index add`` appends to an existing one, ``index query``
     retrieves the top-k nearest entries for a query in any modality
     (``--from rtl --to cone`` finds the register cones implementing an RTL
-    snippet; ``--searcher exact|ivf|hnsw`` picks the retrieval algorithm),
+    snippet; ``--searcher exact|hnsw`` picks the retrieval algorithm),
     ``index compact`` rewrites live rows into dense shards,
     ``index stats`` prints occupancy and provenance, ``index fit-hnsw``
     persists an HNSW graph sidecar that read replicas load instead of
@@ -148,9 +148,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             "modality for circuit/cone, cone for rtl/layout)")
     query.add_argument("--cones", action="store_true",
                        help="shorthand for --from cone --to cone")
-    query.add_argument("--searcher", default="exact", choices=("exact", "ivf", "hnsw"),
-                       help="retrieval algorithm: exact brute-force scan (default), "
-                            "IVF cells, or an HNSW proximity graph")
+    query.add_argument("--searcher", default="exact", choices=("exact", "hnsw"),
+                       help="retrieval algorithm: exact brute-force scan (default) "
+                            "or an HNSW proximity graph")
 
     compact = index_sub.add_parser(
         "compact", help="rewrite live rows into dense shards and drop tombstones"
@@ -187,7 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--replicas", type=int, default=2,
                        help="number of read-replica processes (default: 2)")
     serve.add_argument("--searcher", default="exact",
-                       choices=("exact", "ivf", "hnsw"),
+                       choices=("exact", "hnsw"),
                        help="retrieval algorithm each probe uses (default: exact)")
     serve.add_argument("--kind", default=None,
                        help="restrict probes to one row namespace")

@@ -4,7 +4,7 @@
 
 * :class:`EmbeddingIndex` — on-disk sharded (memory-mapped) vector store with
   a fingerprinted JSON manifest and append/compact/merge maintenance,
-* :func:`exact_topk` / :class:`IVFSearcher` — exact and IVF-style approximate
+* :func:`exact_topk` / :class:`HNSWSearcher` — exact and HNSW approximate
   cosine retrieval over the index,
 * :class:`BatchScheduler` — thread-based micro-batching (size-or-deadline
   flush) so concurrent callers share packed batched forwards,
@@ -50,7 +50,6 @@ from .replica import ReadReplica, ReplicaError, ReplicaPool
 from .scheduler import BatchScheduler, SchedulerClosed
 from .search import (
     HNSWSearcher,
-    IVFSearcher,
     SearchHit,
     exact_topk,
     hnsw_sidecar_path,
@@ -73,7 +72,6 @@ __all__ = [
     "IndexFormatError",
     "BatchScheduler",
     "SchedulerClosed",
-    "IVFSearcher",
     "HNSWSearcher",
     "SearchHit",
     "exact_topk",

@@ -37,6 +37,7 @@ import json
 import time
 import uuid
 import warnings
+from collections import Counter
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
@@ -54,6 +55,9 @@ MANIFEST_NAME = "manifest.json"
 _FORMAT_VERSION = 2
 _READABLE_FORMAT_VERSIONS = (1, 2)
 _DTYPE = np.float32
+# Every search scores cosine similarity; the manifest records it so a
+# reader meeting any other metric refuses the index instead of misranking.
+_METRIC = "cosine"
 
 # One segment's search metadata: ``(keys, kinds_array, live_rows)``.
 Metadata = Tuple[List[str], np.ndarray, np.ndarray]
@@ -165,7 +169,6 @@ class EmbeddingIndex:
         directory: PathLike,
         dim: int,
         shard_size: int = 1024,
-        metric: str = "cosine",
         fingerprints: Optional[Mapping[str, object]] = None,
         _shards: Optional[List[_Shard]] = None,
         _tombstones: Optional[Sequence[str]] = None,
@@ -180,7 +183,6 @@ class EmbeddingIndex:
         self.directory = Path(directory)
         self.dim = int(dim)
         self.shard_size = int(shard_size)
-        self.metric = metric
         self.fingerprints: Dict[str, object] = dict(fingerprints or {})
         self._shards: List[_Shard] = list(_shards or [])
         # Tombstones are (key, kind) pairs; kind=None is a wildcard covering
@@ -189,8 +191,8 @@ class EmbeddingIndex:
         self._pending_keys: List[str] = []
         self._pending_kinds: List[str] = []
         self._pending_rows: List[np.ndarray] = []
-        # Bumped on every mutation; derived structures (the cached search
-        # metadata below, fitted IVF searchers) key their validity on it.
+        # Bumped on every mutation; the cached search metadata below keys its
+        # validity on it (searchers key on ``content_fingerprint`` instead).
         # Persisted in the manifest (restored by ``open``) so cross-process
         # readers — :class:`repro.serve.replica.ReadReplica` — see a counter
         # that survives the writer saving, exiting and reopening.
@@ -294,7 +296,6 @@ class EmbeddingIndex:
         directory: PathLike,
         dim: int,
         shard_size: int = 1024,
-        metric: str = "cosine",
         fingerprints: Optional[Mapping[str, object]] = None,
         overwrite: bool = False,
     ) -> "EmbeddingIndex":
@@ -312,7 +313,7 @@ class EmbeddingIndex:
                 shard.payload_path.unlink(missing_ok=True)
                 shard.meta_path.unlink(missing_ok=True)
             manifest.unlink()
-        index = cls(directory, dim, shard_size=shard_size, metric=metric,
+        index = cls(directory, dim, shard_size=shard_size,
                     fingerprints=fingerprints, _index_id=uuid.uuid4().hex)
         index._write_manifest()
         return index
@@ -343,6 +344,11 @@ class EmbeddingIndex:
                 f"index format version {manifest.get('format_version')!r} is not "
                 f"supported (expected one of {_READABLE_FORMAT_VERSIONS})"
             )
+        if manifest.get("metric", _METRIC) != _METRIC:
+            raise IndexFormatError(
+                f"index metric {manifest['metric']!r} is not supported "
+                f"(every search scores {_METRIC!r})"
+            )
         fingerprints = dict(manifest.get("fingerprints", {}))
         for key, expected in (expected_fingerprints or {}).items():
             stored = fingerprints.get(key)
@@ -361,7 +367,6 @@ class EmbeddingIndex:
             directory,
             dim=int(manifest["dim"]),
             shard_size=int(manifest.get("shard_size", 1024)),
-            metric=manifest.get("metric", "cosine"),
             fingerprints=fingerprints,
             _shards=shards,
             _tombstones=manifest.get("tombstones", []),
@@ -567,7 +572,7 @@ class EmbeddingIndex:
             "format_version": _FORMAT_VERSION,
             "library_version": _library_version(),
             "dim": self.dim,
-            "metric": self.metric,
+            "metric": _METRIC,
             "shard_size": self.shard_size,
             "fingerprints": self.fingerprints,
             "generation": self._generation,
@@ -876,9 +881,7 @@ class EmbeddingIndex:
             for shard in self._shards
             if shard.payload_path.exists()
         )
-        kinds: Dict[str, int] = {}
-        for _, _, _, kind in self._iter_rows(include_tombstoned=False):
-            kinds[kind] = kinds.get(kind, 0) + 1
+        kinds = Counter(kind for _, kind in self._live())
         return {
             "entries": len(self),
             "rows": sum(s.count for s in self._shards) + len(self._pending_keys),
@@ -887,8 +890,8 @@ class EmbeddingIndex:
             "shards": self.num_shards,
             "shard_size": self.shard_size,
             "dim": self.dim,
-            "metric": self.metric,
+            "metric": _METRIC,
             "payload_bytes": payload_bytes,
-            "kinds": kinds,
+            "kinds": dict(kinds),
             "fingerprints": dict(self.fingerprints),
         }

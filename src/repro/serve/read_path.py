@@ -2,7 +2,7 @@
 
 :class:`~repro.serve.service.NetTAGService` and
 :class:`~repro.serve.replica.ReadReplica` both own one :class:`ReadPath`:
-the snapshot manager, one searcher cache, the HNSW sidecar ladder and one
+the snapshot manager, one HNSW searcher cache, the sidecar ladder and one
 :meth:`ReadPath.search`.  It alone decides when a searcher is refitted,
 with which tuning, and which keys a query excludes; the searchers in
 :mod:`repro.serve.search` only fit a pinned snapshot and search it.
@@ -11,18 +11,15 @@ with which tuning, and which keys a query excludes; the searchers in
 from __future__ import annotations
 
 import threading
-from typing import Callable, Collection, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Collection, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .index import EmbeddingIndex, IndexFormatError
-from .search import HNSWSearcher, IVFSearcher, SearchHit, exact_topk, hnsw_sidecar_path
+from .search import HNSWSearcher, SearchHit, exact_topk, hnsw_sidecar_path
 from .snapshot import ReadSnapshot, SnapshotManager
 
-AnySearcher = Union[IVFSearcher, HNSWSearcher]
-
-ALGORITHMS = ("exact", "ivf", "hnsw")
-_SEARCHER_TYPES = {"ivf": IVFSearcher, "hnsw": HNSWSearcher}
+ALGORITHMS = ("exact", "hnsw")
 # The tuning a persisted HNSW graph carries (its meta block).
 _HNSW_TUNING = ("M", "ef_construction", "ef_search", "seed")
 
@@ -33,18 +30,18 @@ def _fitted_on(snapshot: ReadSnapshot) -> Tuple:
 
 
 class ReadPath:
-    """Pinned snapshots plus one searcher cache keyed by ``(algorithm, kind)``.
+    """Pinned snapshots plus one HNSW searcher cache keyed by ``kind``.
 
     One freshness rule: a cached searcher is reused iff the pinned
     snapshot's ``(directory, content_fingerprint())`` equals the pair
     recorded at fit time.  Two indexes whose manifests carry no id can
     share a layout fingerprint, but not a directory.  A miss first tries
     the snapshot's HNSW sidecar (load → attach when fresh → sync when
-    stale), then fits ``Searcher(kind=kind, **params)``.
+    stale), then fits ``HNSWSearcher(kind=kind, **params)``.
 
     One tuning source: ``params`` is the tuning last installed for that
-    ``(algorithm, kind)``, else the latest tuning installed for the
-    algorithm, else the owner's ``ivf_params``/``hnsw_params``.
+    ``kind``, else the latest tuning installed for any kind, else the
+    owner's ``hnsw_params``.
 
     ``source`` returns the index served now (a service may swap it);
     snapshots are built from it.
@@ -53,17 +50,15 @@ class ReadPath:
     def __init__(
         self,
         source: Callable[[], EmbeddingIndex],
-        ivf_params: Optional[Mapping[str, object]] = None,
         hnsw_params: Optional[Mapping[str, object]] = None,
     ) -> None:
         self.snapshots = SnapshotManager(lambda: source().snapshot())
         self._lock = threading.Lock()
-        # (algorithm, kind) -> (searcher, (directory, fingerprint) it was fitted on, params)
-        self._cache: Dict[Tuple[str, Optional[str]], Tuple[AnySearcher, Tuple, Dict]] = {}
-        self._latest = {"ivf": dict(ivf_params or {}), "hnsw": dict(hnsw_params or {})}
+        # kind -> (searcher, (directory, fingerprint) it was fitted on, params)
+        self._cache: Dict[Optional[str], Tuple[HNSWSearcher, Tuple, Dict]] = {}
+        self._latest = dict(hnsw_params or {})
         self._counters = dict.fromkeys(
-            ("hnsw_loaded", "hnsw_synced", "hnsw_refits", "hnsw_sidecar_rejected", "ivf_refits"),
-            0,
+            ("hnsw_loaded", "hnsw_synced", "hnsw_refits", "hnsw_sidecar_rejected"), 0
         )
 
     def search(
@@ -83,11 +78,13 @@ class ReadPath:
         filters and cuts to ``k``, and fetches twice as many again while a
         full page filtered below ``k`` (one key may hold a row per kind).
         """
+        if algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
         if algorithm == "exact":
             def run(fetch: int) -> List[List[SearchHit]]:
                 return exact_topk(snapshot, queries, k=fetch, kind=kind)
         else:
-            searcher = self.searcher(snapshot, algorithm, kind)
+            searcher = self.searcher(snapshot, kind)
 
             def run(fetch: int) -> List[List[SearchHit]]:
                 return searcher.search(queries, k=fetch)
@@ -107,64 +104,55 @@ class ReadPath:
                 return kept
             fetch *= 2
 
-    def searcher(
-        self, snapshot: ReadSnapshot, algorithm: str, kind: Optional[str] = None
-    ) -> AnySearcher:
-        """The cached searcher for ``(algorithm, kind)``, rebuilt when stale.
+    def searcher(self, snapshot: ReadSnapshot, kind: Optional[str] = None) -> HNSWSearcher:
+        """The cached HNSW searcher for ``kind``, rebuilt when stale.
 
         Racing rebuilds produce the same deterministic structure, so the
         last one to install wins harmlessly.
         """
-        if algorithm not in _SEARCHER_TYPES:
-            raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
         fitted_on = _fitted_on(snapshot)
         with self._lock:
-            entry = self._cache.get((algorithm, kind))
-            params = entry[2] if entry is not None else self._latest[algorithm]
+            entry = self._cache.get(kind)
+            params = entry[2] if entry is not None else self._latest
         if entry is not None and entry[1] == fitted_on:
             return entry[0]
-        searcher = self._load_sidecar(snapshot, kind) if algorithm == "hnsw" else None
+        searcher = self._load_sidecar(snapshot, kind)
         if searcher is not None:
             params = {name: getattr(searcher, name) for name in _HNSW_TUNING}
         else:
-            searcher = _SEARCHER_TYPES[algorithm](kind=kind, **params).fit(snapshot)
-            self._count(f"{algorithm}_refits")
-        self._install(algorithm, kind, searcher, fitted_on, params)
+            searcher = HNSWSearcher(kind=kind, **params).fit(snapshot)
+            self._count("hnsw_refits")
+        self._install(kind, searcher, fitted_on, params)
         return searcher
 
     def fit(
         self,
         snapshot: ReadSnapshot,
-        algorithm: str,
         kind: Optional[str] = None,
         persist: bool = False,
         **params,
-    ) -> AnySearcher:
-        """Fit a searcher with explicit tuning and cache it.
+    ) -> HNSWSearcher:
+        """Fit an HNSW searcher with explicit tuning and cache it.
 
-        ``persist=True`` (HNSW only) also saves the graph as the index's
-        sidecar, so replicas load it instead of refitting.
+        ``persist=True`` also saves the graph as the index's sidecar, so
+        replicas load it instead of refitting.
         """
-        if algorithm not in _SEARCHER_TYPES:
-            raise ValueError(f"unknown searcher algorithm {algorithm!r}; choose 'ivf' or 'hnsw'")
-        if persist and algorithm != "hnsw":
-            raise ValueError("persist=True applies to the 'hnsw' algorithm only")
-        searcher = _SEARCHER_TYPES[algorithm](kind=kind, **params).fit(snapshot)
+        searcher = HNSWSearcher(kind=kind, **params).fit(snapshot)
         if persist:
             searcher.save(hnsw_sidecar_path(snapshot.directory, kind))
-        self._install(algorithm, kind, searcher, _fitted_on(snapshot), params)
+        self._install(kind, searcher, _fitted_on(snapshot), params)
         return searcher
 
-    def cached(self, algorithm: str, kind: Optional[str] = None) -> Optional[AnySearcher]:
-        """The searcher cached for ``(algorithm, kind)``, fresh or not."""
+    def cached(self, kind: Optional[str] = None) -> Optional[HNSWSearcher]:
+        """The searcher cached for ``kind``, fresh or not."""
         with self._lock:
-            entry = self._cache.get((algorithm, kind))
+            entry = self._cache.get(kind)
         return entry[0] if entry is not None else None
 
-    def _install(self, algorithm, kind, searcher, fitted_on, params) -> None:
+    def _install(self, kind, searcher, fitted_on, params) -> None:
         with self._lock:
-            self._cache[(algorithm, kind)] = (searcher, fitted_on, dict(params))
-            self._latest[algorithm] = dict(params)
+            self._cache[kind] = (searcher, fitted_on, dict(params))
+            self._latest = dict(params)
 
     def _count(self, counter: str) -> None:
         with self._lock:
@@ -195,7 +183,7 @@ class ReadPath:
             return {
                 **self._counters,
                 "searchers": {
-                    f"{algorithm}:{kind or 'all'}": searcher.stats()
-                    for (algorithm, kind), (searcher, _, _) in self._cache.items()
+                    kind or "all": searcher.stats()
+                    for kind, (searcher, _, _) in self._cache.items()
                 },
             }

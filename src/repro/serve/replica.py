@@ -8,7 +8,7 @@ shape a corpus-scale deployment runs:
 * :class:`ReadReplica` opens an :class:`~repro.serve.index.EmbeddingIndex`
   directory **read-only** — the fingerprinted manifest plus the memory-mapped
   shard payloads; no write lock, no pending buffer — and serves
-  :func:`~repro.serve.search.exact_topk` / IVF / HNSW queries through the
+  exact (:func:`~repro.serve.search.exact_topk`) and HNSW queries through the
   same generation-pinned :class:`~repro.serve.snapshot.ReadSnapshot` surface
   the in-process service uses.
 * A **generation watcher** polls the manifest (mtime/size fast path, content
@@ -63,15 +63,15 @@ class ReadReplica:
     """A read-only query endpoint over an index another process writes.
 
     Opens the index directory without ever taking the write path and serves
-    ``exact`` / ``ivf`` / ``hnsw`` queries on pinned read snapshots.  With
+    ``exact`` / ``hnsw`` queries on pinned read snapshots.  With
     ``watch=True`` (default) a daemon thread polls the manifest every
     ``poll_interval`` seconds and re-opens on change;
     :meth:`check_for_update` is the same poll step for callers that want
     explicit control (tests, single-threaded drivers).
 
-    ``hnsw_params`` / ``ivf_params`` are the tuning of searchers this
-    replica has to build with no earlier tuning to inherit; a loaded
-    sidecar always carries its own tuning.
+    ``hnsw_params`` is the tuning of an HNSW graph this replica has to
+    build with no earlier tuning to inherit; a loaded sidecar always
+    carries its own tuning.
     """
 
     def __init__(
@@ -81,7 +81,6 @@ class ReadReplica:
         watch: bool = True,
         expected_fingerprints: Optional[Mapping[str, object]] = None,
         hnsw_params: Optional[Mapping[str, object]] = None,
-        ivf_params: Optional[Mapping[str, object]] = None,
         open_retries: int = 8,
         retry_delay: float = 0.05,
     ) -> None:
@@ -100,9 +99,7 @@ class ReadReplica:
         }
         self._index: Optional[EmbeddingIndex] = None
         self._token: Optional[_ManifestToken] = None
-        self.read_path = ReadPath(
-            self._open_index, ivf_params=ivf_params, hnsw_params=hnsw_params
-        )
+        self.read_path = ReadPath(self._open_index, hnsw_params=hnsw_params)
         self._closed = False
         self._watcher: Optional[threading.Thread] = None
         self._stop_event = threading.Event()
@@ -237,7 +234,7 @@ class ReadReplica:
     ) -> List[List[SearchHit]]:
         """Top-k per query row on a pinned snapshot (one consistent generation).
 
-        ``algorithm`` is ``"exact"`` (default), ``"ivf"`` or ``"hnsw"``;
+        ``algorithm`` is ``"exact"`` (default) or ``"hnsw"``;
         ``exclude_keys`` applies to every query row.  See
         :meth:`ReadPath.search <repro.serve.read_path.ReadPath.search>`.
         """
@@ -307,7 +304,6 @@ def _replica_worker(directory: str, conn, options: Dict[str, Any]) -> None:
             watch=bool(options.get("watch", True)),
             expected_fingerprints=options.get("expected_fingerprints"),
             hnsw_params=options.get("hnsw_params"),
-            ivf_params=options.get("ivf_params"),
         )
     except Exception as error:  # noqa: BLE001 - reported to the parent
         try:
@@ -357,7 +353,6 @@ class ReplicaPool:
         watch: bool = True,
         expected_fingerprints: Optional[Mapping[str, object]] = None,
         hnsw_params: Optional[Mapping[str, object]] = None,
-        ivf_params: Optional[Mapping[str, object]] = None,
         start: bool = True,
         startup_timeout: float = 120.0,
     ) -> None:
@@ -370,7 +365,6 @@ class ReplicaPool:
             "watch": bool(watch),
             "expected_fingerprints": dict(expected_fingerprints or {}) or None,
             "hnsw_params": dict(hnsw_params or {}) or None,
-            "ivf_params": dict(ivf_params or {}) or None,
         }
         self._startup_timeout = float(startup_timeout)
         self._ctx = multiprocessing.get_context("spawn")

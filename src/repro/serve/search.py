@@ -1,6 +1,6 @@
 """Cosine-similarity retrieval over an :class:`EmbeddingIndex`.
 
-Three search paths share one result format:
+Two search paths share one result format:
 
 * :func:`exact_topk` — a batched query matmul streamed shard by shard.  The
   per-shard similarity block is one ``(num_queries, shard_rows)`` matmul over
@@ -9,24 +9,21 @@ Three search paths share one result format:
   a live :class:`EmbeddingIndex` *or* a pinned
   :class:`~repro.serve.snapshot.ReadSnapshot` (anything exposing ``dim``,
   ``iter_segments`` and ``search_metadata``).
-* :class:`IVFSearcher` — an IVF-style approximate index: a seeded k-means
-  coarse quantiser partitions the corpus into inverted lists, and a query
-  only scores the ``nprobe`` lists whose centroids are nearest.
-* :class:`HNSWSearcher` — a hierarchical navigable-small-world graph.
-  Queries greedily descend layered proximity graphs and beam-search the
-  bottom layer, scoring on the order of ``ef_search`` × ``M`` vectors.  The
-  build is fully deterministic for a fixed seed and supports incremental
-  :meth:`~HNSWSearcher.insert`.
+* :class:`HNSWSearcher` — the one approximate searcher, a hierarchical
+  navigable-small-world graph.  Queries greedily descend layered proximity
+  graphs and beam-search the bottom layer, scoring on the order of
+  ``ef_search`` × ``M`` vectors.  The build is fully deterministic for a
+  fixed seed and supports incremental :meth:`~HNSWSearcher.insert`.
 
-Neither approximate searcher wins on both recall and latency at the index
-dims the program serves: at 100k rows and dim 302 both reach recall@10 0.95
-only with most lists probed or a wide beam (see ``docs/serving.md``,
-"Choosing between exact, IVF and HNSW").
+At 100k rows and dim 302, with queries drawn like the indexed rows, HNSW at
+``ef_search`` 64 reads recall@10 0.98 in ~2 ms where exact search takes
+~135 ms; its pure-Python build is the price, ~600 s at that size (see
+``docs/serving.md``, "Choosing between exact and HNSW").
 
 Scores are cosine similarities in ``[-1, 1]``; ties break deterministically
 by insertion order so repeated queries (and save→load round-trips) return
-identical rankings.  The searchers only fit a view and search it: when to
-refit, which tuning to use and which keys to exclude is decided by
+identical rankings.  The HNSW searcher only fits a view and searches it:
+when to refit, which tuning to use and which keys to exclude is decided by
 :class:`~repro.serve.read_path.ReadPath`.
 """
 
@@ -159,135 +156,6 @@ def exact_topk(
 
 
 # ----------------------------------------------------------------------
-# IVF-style approximate search
-# ----------------------------------------------------------------------
-def _kmeans(
-    vectors: np.ndarray, num_centroids: int, iterations: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Plain seeded k-means on unit vectors (spherical enough for cosine)."""
-    num_centroids = min(num_centroids, len(vectors))
-    picks = rng.choice(len(vectors), size=num_centroids, replace=False)
-    centroids = vectors[picks].copy()
-    for _ in range(iterations):
-        assignment = np.argmax(vectors @ centroids.T, axis=1)
-        for c in range(num_centroids):
-            members = vectors[assignment == c]
-            if len(members) == 0:
-                # Re-seed an empty cluster on the point farthest from its centroid.
-                farthest = int(np.argmin(np.max(vectors @ centroids.T, axis=1)))
-                centroids[c] = vectors[farthest]
-                continue
-            mean = members.mean(axis=0)
-            centroids[c] = mean / max(float(np.linalg.norm(mean)), 1e-12)
-    return centroids
-
-
-class IVFSearcher:
-    """Inverted-file approximate cosine search over an :class:`EmbeddingIndex`.
-
-    :meth:`fit` snapshots the index's live rows (optionally one ``kind``),
-    clusters them with seeded k-means and stores one inverted list of
-    normalised vectors per centroid.  :meth:`search` scores only the
-    ``nprobe`` nearest lists.  The searcher is a derived, in-memory
-    structure of the view it was fitted on; it never notices later changes.
-    """
-
-    def __init__(
-        self,
-        num_centroids: int = 32,
-        nprobe: int = 4,
-        iterations: int = 8,
-        seed: int = 0,
-        kind: Optional[str] = None,
-    ) -> None:
-        if num_centroids < 1:
-            raise ValueError("num_centroids must be positive")
-        if nprobe < 1:
-            raise ValueError("nprobe must be positive")
-        self.num_centroids = num_centroids
-        self.nprobe = nprobe
-        self.iterations = iterations
-        self.seed = seed
-        self.kind = kind
-        self._centroids: Optional[np.ndarray] = None
-        self._lists: List[Tuple[List[str], List[str], np.ndarray]] = []
-        self._dim = 0
-
-    @property
-    def is_fitted(self) -> bool:
-        """Whether :meth:`fit` ran (searching before it raises)."""
-        return self._centroids is not None
-
-    def fit(self, index: EmbeddingIndex) -> "IVFSearcher":
-        """Snapshot the index's live rows and build the inverted lists."""
-        keys: List[str] = []
-        kinds: List[str] = []
-        rows: List[np.ndarray] = []
-        for keys_s, kinds_s, selected, block, norms in live_blocks(index, self.kind):
-            block = block / norms[:, None]
-            for offset, row in enumerate(selected):
-                keys.append(keys_s[int(row)])
-                kinds.append(kinds_s[int(row)])
-                rows.append(block[offset])
-        if not rows:
-            raise ValueError("cannot fit an IVF searcher on an empty index")
-        vectors = np.stack(rows)
-        self._dim = vectors.shape[1]
-        rng = np.random.default_rng(self.seed)
-        self._centroids = _kmeans(vectors, self.num_centroids, self.iterations, rng)
-        assignment = np.argmax(vectors @ self._centroids.T, axis=1)
-        self._lists = []
-        for c in range(len(self._centroids)):
-            members = np.flatnonzero(assignment == c)
-            self._lists.append(
-                (
-                    [keys[m] for m in members],
-                    [kinds[m] for m in members],
-                    vectors[members],
-                )
-            )
-        return self
-
-    def search(self, queries: np.ndarray, k: int = 10) -> List[List[SearchHit]]:
-        """Approximate cosine top-k scoring only the ``nprobe`` nearest lists."""
-        if self._centroids is None:
-            raise RuntimeError("IVFSearcher.search called before fit()")
-        if k < 1:
-            raise ValueError("k must be positive")
-        nprobe = min(self.nprobe, len(self._centroids))
-        normalised = _normalise_queries(queries, self._dim)
-        centroid_sims = normalised @ self._centroids.T
-        probe = np.argpartition(-centroid_sims, nprobe - 1, axis=1)[:, :nprobe]
-        candidates: List[List[Tuple[float, int, str, str]]] = []
-        for q in range(len(normalised)):
-            pool: List[Tuple[float, int, str, str]] = []
-            for c in probe[q]:
-                keys, kinds, vectors = self._lists[int(c)]
-                if not keys:
-                    continue
-                sims = vectors @ normalised[q]
-                take = min(k, len(keys))
-                for m in np.argpartition(-sims, take - 1)[:take]:
-                    m = int(m)
-                    pool.append((float(sims[m]), int(c) * 10**9 + m, keys[m], kinds[m]))
-            candidates.append(pool)
-        return _merge_topk(candidates, k)
-
-    def stats(self) -> Dict[str, object]:
-        """Centroid/list occupancy summary for service reports."""
-        sizes = [len(keys) for keys, _, _ in self._lists]
-        return {
-            "algorithm": "ivf",
-            "fitted": self.is_fitted,
-            "num_centroids": len(self._centroids) if self._centroids is not None else 0,
-            "nprobe": self.nprobe,
-            "entries": int(np.sum(sizes)) if sizes else 0,
-            "largest_list": int(np.max(sizes)) if sizes else 0,
-            "kind": self.kind,
-        }
-
-
-# ----------------------------------------------------------------------
 # HNSW approximate search
 # ----------------------------------------------------------------------
 class HNSWSearcher:
@@ -302,9 +170,9 @@ class HNSWSearcher:
     Determinism: a node's layer is a pure function of ``(seed, node id)``
     and neighbour selection breaks ties by insertion order, so rebuilding
     from the same index yields a bit-identical graph
-    (:meth:`structure_digest`) and identical rankings.  Unlike
-    :class:`IVFSearcher`, the graph also supports incremental
-    :meth:`insert` — new rows become searchable without a rebuild.
+    (:meth:`structure_digest`) and identical rankings.  The graph also
+    supports incremental :meth:`insert` — new rows become searchable
+    without a rebuild.
 
     Tuning (see ``docs/serving.md``): ``M`` is the out-degree budget
     (layer 0 allows ``2M``), ``ef_construction`` the build-time beam width,
@@ -723,8 +591,8 @@ class HNSWSearcher:
     def fit(self, index: EmbeddingIndex) -> "HNSWSearcher":
         """Rebuild the graph from the index's live rows (one ``kind`` if set).
 
-        Rows are inserted in segment order — the same deterministic order
-        :meth:`IVFSearcher.fit` snapshots — so two fits of the same index
+        Rows are inserted in the deterministic segment order of
+        :func:`live_blocks`, so two fits of the same index
         generation produce bit-identical graphs.  Accepts a live index or a
         pinned read snapshot.
         """

@@ -30,9 +30,9 @@ import numpy as np
 from ..netlist import extract_register_cones
 from ..nn import use_backend
 from .index import EmbeddingIndex
-from .read_path import ALGORITHMS, AnySearcher, ReadPath
+from .read_path import ALGORITHMS, ReadPath
 from .scheduler import BatchScheduler
-from .search import SearchHit, live_blocks
+from .search import HNSWSearcher, SearchHit, live_blocks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a core<->serve cycle
     from ..core.nettag import CircuitEmbedding, NetTAG
@@ -315,7 +315,7 @@ class NetTAGService:
         ``Netlist`` (``"circuit"``), RTL text (``"rtl"``), a ``LayoutGraph``
         (``"layout"``) or a precomputed embedding (``"vector"``).
         ``to_kind`` is the namespace searched (``None`` searches every kind)
-        and ``algorithm`` is ``"exact"``, ``"ivf"`` or ``"hnsw"`` (see
+        and ``algorithm`` is ``"exact"`` or ``"hnsw"`` (see
         :class:`ReadPath`).  Invalid requests are rejected here, on the
         caller thread, and an approximate searcher that needs a (re)fit is
         fitted here too, before submission, so no co-flushed request waits
@@ -347,7 +347,7 @@ class NetTAGService:
             # A fit that fails here (an empty kind) fails again in the flush,
             # which reports it on this request's future.
             with self._pin_current() as snapshot, contextlib.suppress(Exception):
-                self.read_path.searcher(snapshot, algorithm, to_kind)
+                self.read_path.searcher(snapshot, to_kind)
         spec = QuerySpec(from_kind, item, to_kind, int(k), tuple(exclude_keys or ()), algorithm)
         return self._scheduler.submit(("query", spec))
 
@@ -411,22 +411,22 @@ class NetTAGService:
     # Approximate-searcher tuning
     # ------------------------------------------------------------------
     def fit_searcher(
-        self, *, kind: Optional[str] = None, algorithm: str = "ivf", persist: bool = False, **params
-    ) -> AnySearcher:
-        """Fit the approximate searcher over one kind (namespace) with explicit tuning.
+        self, *, kind: Optional[str] = None, persist: bool = False, **params
+    ) -> HNSWSearcher:
+        """Fit the HNSW searcher over one kind (namespace) with explicit tuning.
 
-        ``params`` go to the searcher: ``num_centroids``/``nprobe`` for IVF,
-        ``M``/``ef_construction``/``ef_search`` for HNSW, ``seed`` for both.
-        The fitted searcher becomes the read path's cached ``(algorithm,
-        kind)`` entry: its tuning survives later refits of that kind, and a
-        kind never fitted inherits the latest tuning of the same algorithm.
-        Fitting reads a pinned snapshot — it never blocks queries or ingest.
-        ``persist=True`` (HNSW only) also writes the index's sidecar
-        (:func:`~repro.serve.search.hnsw_sidecar_path`) so read replicas load
-        the graph instead of refitting per process.
+        ``params`` go to :class:`~repro.serve.search.HNSWSearcher`
+        (``M``, ``ef_construction``, ``ef_search``, ``seed``).  The fitted
+        searcher becomes the read path's cached entry for ``kind``: its
+        tuning survives later refits of that kind, and a kind never fitted
+        inherits the latest tuning.  Fitting reads a pinned snapshot — it
+        never blocks queries or ingest.  ``persist=True`` also writes the
+        index's sidecar (:func:`~repro.serve.search.hnsw_sidecar_path`) so
+        read replicas load the graph instead of refitting per process, and a
+        changed index syncs appends into it instead of rebuilding.
         """
         with self._pin_current() as snapshot:
-            return self.read_path.fit(snapshot, algorithm, kind=kind, persist=persist, **params)
+            return self.read_path.fit(snapshot, kind=kind, persist=persist, **params)
 
     def add_multimodal(
         self,

@@ -214,7 +214,7 @@ class TestIndexCommands:
 
         query_path = netlist_dir / "alpha.v"
         outputs = {}
-        for searcher in ("exact", "ivf", "hnsw"):
+        for searcher in ("exact", "hnsw"):
             assert main([
                 "index", "query", str(query_path), "--cones",
                 "--searcher", searcher,
@@ -223,6 +223,13 @@ class TestIndexCommands:
             ]) == 0
             outputs[searcher] = capsys.readouterr().out
             assert "alpha::" in outputs[searcher]
+        with pytest.raises(SystemExit) as rejected:
+            main([
+                "index", "query", str(query_path), "--cones", "--searcher", "ivf",
+                "--checkpoint", str(checkpoint), "--index", str(index_dir),
+            ])
+        assert rejected.value.code == 2
+        assert "invalid choice: 'ivf'" in capsys.readouterr().err
 
         from repro.serve import EmbeddingIndex
 

@@ -6,8 +6,8 @@ none of these checks needs pre-training.
 
 * **Round trip** — save → reopen → query returns the identical ranking with
   bit-equal scores.
-* **Approximate search** — IVF recall@10 ≥ 0.9 against exact search over
-  the whole corpus.
+* **Approximate search** — HNSW recall@10 ≥ 0.9 at default tuning against
+  exact search over the whole corpus.
 * **Micro-batching** — a burst of 48 cone queries queued while the scheduler
   worker is held is answered in at most ``1 + ceil(47 / 16)`` flushes, each
   with one encoder pass.
@@ -31,7 +31,7 @@ from repro.rtl import make_controller
 from repro.serve import (
     CONE_KIND,
     EmbeddingIndex,
-    IVFSearcher,
+    HNSWSearcher,
     NetTAGService,
     cone_key,
     exact_topk,
@@ -107,10 +107,10 @@ class TestIndexQuality:
             assert [hit.key for hit in b] == [hit.key for hit in a]
             assert [hit.score for hit in b] == [hit.score for hit in a]
 
-    def test_ivf_recall_at_10(self, indexed):
+    def test_hnsw_recall_at_10(self, indexed):
         _, index, vectors = indexed
         exact = exact_topk(index, vectors, k=K)
-        searcher = IVFSearcher(num_centroids=32, nprobe=8, seed=0).fit(index)
+        searcher = HNSWSearcher(seed=0).fit(index)
         assert recall_at_k(exact, searcher.search(vectors, k=K), k=K) >= 0.9
 
 

@@ -3,7 +3,7 @@
 Covers the (key, kind) row-identity semantics the multimodal index relies
 on, the projection heads and their sidecar persistence, the kind-pair query
 API, and the edge cases: empty target kinds, modality-encoder fingerprint
-mismatches, and IVF refits after one modality's rows are removed.
+mismatches, and HNSW refits after one modality's rows are removed.
 
 On a ≥ 220-item aligned corpus (``TestAlignedCorpus``): aligned-pair
 recall@10 ≥ 0.8 over the six modality pairs and ≥ 0.5 on each, and a mixed
@@ -335,24 +335,24 @@ class TestServiceQueries:
         try:
             item = pipeline.multimodal_items()[0]
             assert service.query(item.cone, CONE_KIND, to_kind=LAYOUT_KIND, k=3) == []
-            # The approximate path cannot fit a coarse quantiser over an
-            # empty namespace and says so instead of guessing.
+            # The approximate path cannot fit a graph over an empty
+            # namespace and says so instead of guessing.
             with pytest.raises(ValueError, match="empty"):
                 service.query(
-                    item.cone, CONE_KIND, to_kind=LAYOUT_KIND, k=3, algorithm="ivf"
+                    item.cone, CONE_KIND, to_kind=LAYOUT_KIND, k=3, algorithm="hnsw"
                 )
         finally:
             service.close()
 
-    def test_ivf_refit_after_one_modalitys_rows_are_removed(self, mm_pipeline, tmp_path):
+    def test_hnsw_refit_after_one_modalitys_rows_are_removed(self, mm_pipeline, tmp_path):
         pipeline = NetTAGPipeline(NetTAGConfig.fast())
         pipeline.designs = mm_pipeline.designs
         index, encoder = pipeline.build_multimodal_index(tmp_path / "refit")
         service = NetTAGService(pipeline.model, index=index, crossmodal=encoder)
         try:
             items = [it for it in pipeline.multimodal_items() if it.rtl_text]
-            searcher = service.fit_searcher(num_centroids=4, nprobe=4, kind=RTL_KIND)
-            assert service.read_path.cached("ivf", RTL_KIND) is searcher
+            searcher = service.fit_searcher(M=4, ef_search=16, kind=RTL_KIND)
+            assert service.read_path.cached(RTL_KIND) is searcher
             removed_keys = [it.key for it in items[:2]]
             assert index.remove(removed_keys, kind=RTL_KIND) == 2
             # The content fingerprint moved: the fitted searcher is stale and
@@ -360,13 +360,13 @@ class TestServiceQueries:
             # never surface (their cone/layout partners stay live).
             hits = service.query(
                 items[2].rtl_text, RTL_KIND, to_kind=RTL_KIND, k=len(items),
-                algorithm="ivf",
+                algorithm="hnsw",
             )
             assert removed_keys[0] not in {hit.key for hit in hits}
             assert index.get(removed_keys[0], kind=CONE_KIND) is not None
-            refitted = service.read_path.cached("ivf", RTL_KIND)
+            refitted = service.read_path.cached(RTL_KIND)
             assert refitted is not searcher
-            assert (refitted.num_centroids, refitted.nprobe) == (4, 4)
+            assert (refitted.M, refitted.ef_search) == (4, 16)
         finally:
             service.close()
 

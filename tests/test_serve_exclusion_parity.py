@@ -1,8 +1,8 @@
 """One exclusion rule and one freshness rule for every search algorithm.
 
 ``ReadPath.search`` is the only place keys are excluded.  Through
-``NetTAGService.query`` and ``ReadReplica.query``, exact search, IVF with
-every list probed and HNSW with a beam wider than the corpus must return
+``NetTAGService.query`` and ``ReadReplica.query``, exact search and HNSW
+with a beam wider than the corpus must return
 exactly what exact search over all rows returns once the excluded keys are
 filtered out and the list is cut to ``k`` — also when one excluded key holds
 a row in several kinds, when the excluded key is the top hit, and beside
@@ -30,9 +30,7 @@ from repro.serve import (
     exact_topk,
 )
 
-IVF_FULL_PROBE = {"num_centroids": 2, "nprobe": 2, "seed": 0}
 HNSW_WIDE_BEAM = {"M": 8, "ef_search": 128, "seed": 0}
-ALGORITHM_PARAMS = {"exact": None, "ivf": IVF_FULL_PROBE, "hnsw": HNSW_WIDE_BEAM}
 
 
 def _corpus(dim: int):
@@ -98,16 +96,15 @@ def _assert_parity(got, index, queries, k, to_kind, excluded):
         assert not {"gone"} & {h.key for h in row}
 
 
-@pytest.mark.parametrize("algorithm", sorted(ALGORITHM_PARAMS))
+@pytest.mark.parametrize("algorithm", ["exact", "hnsw"])
 @pytest.mark.parametrize("case", sorted(CASES))
 class TestExclusionParity:
     def test_service_query(self, small_model, built, algorithm, case):
         index, queries = built
         to_kind, k, excluded = CASES[case]
         with NetTAGService(small_model, index=index, max_latency_ms=1.0) as service:
-            if ALGORITHM_PARAMS[algorithm] is not None:
-                service.fit_searcher(algorithm=algorithm, kind=to_kind,
-                                     **ALGORITHM_PARAMS[algorithm])
+            if algorithm == "hnsw":
+                service.fit_searcher(kind=to_kind, **HNSW_WIDE_BEAM)
             # Submitted together, so both queries share one flush.
             futures = [
                 service.submit_query(queries[q], "vector", to_kind=to_kind, k=k,
@@ -120,8 +117,7 @@ class TestExclusionParity:
     def test_replica_query(self, built, algorithm, case):
         index, queries = built
         to_kind, k, excluded = CASES[case]
-        with ReadReplica(index.directory, watch=False, ivf_params=IVF_FULL_PROBE,
-                         hnsw_params=HNSW_WIDE_BEAM) as replica:
+        with ReadReplica(index.directory, watch=False, hnsw_params=HNSW_WIDE_BEAM) as replica:
             got = [
                 replica.query(queries[q], k=k, kind=to_kind, algorithm=algorithm,
                               exclude_keys=excluded[q])[0]
@@ -142,8 +138,6 @@ def test_exclude_keys_needs_one_collection_per_query_row(tmp_path):
 
 
 class TestOneFreshnessRule:
-    ALGORITHMS = ("ivf", "hnsw")
-
     @staticmethod
     def _index(directory, seed, overwrite=False):
         index = EmbeddingIndex.create(directory, dim=8, shard_size=16, overwrite=overwrite)
@@ -151,54 +145,46 @@ class TestOneFreshnessRule:
         index.save()
         return index
 
-    def _searchers(self, read_path):
+    @staticmethod
+    def _searcher(read_path):
         with read_path.snapshots.pin() as snapshot:
-            return {alg: read_path.searcher(snapshot, alg) for alg in self.ALGORITHMS}
-
-    def _read_path(self, source):
-        return ReadPath(source, ivf_params={"num_centroids": 2}, hnsw_params={"M": 8})
+            return read_path.searcher(snapshot)
 
     def test_unchanged_snapshot_reuses_the_cached_searcher(self, tmp_path):
         index = self._index(tmp_path / "ix", seed=0)
-        read_path = self._read_path(lambda: index)
-        first = self._searchers(read_path)
+        read_path = ReadPath(lambda: index, hnsw_params={"M": 8})
+        first = self._searcher(read_path)
         index.save()  # a flush with nothing pending changes no content
         read_path.snapshots.refresh()
-        assert self._searchers(read_path) == first
-        stats = read_path.stats()
-        assert (stats["ivf_refits"], stats["hnsw_refits"]) == (1, 1)
+        assert self._searcher(read_path) is first
+        assert read_path.stats()["hnsw_refits"] == 1
 
     def test_count_neutral_remove_and_add_refits(self, tmp_path):
         index = self._index(tmp_path / "ix", seed=0)
-        read_path = self._read_path(lambda: index)
-        first = self._searchers(read_path)
+        read_path = ReadPath(lambda: index, hnsw_params={"M": 8})
+        first = self._searcher(read_path)
         before = len(index)
         index.remove(["k0"])
         index.add(["fresh"], np.ones((1, 8)))
         assert len(index) == before
         read_path.snapshots.refresh()
-        second = self._searchers(read_path)
-        assert all(second[alg] is not first[alg] for alg in self.ALGORITHMS)
+        assert self._searcher(read_path) is not first
         with read_path.snapshots.pin() as snapshot:
-            for alg in self.ALGORITHMS:
-                hits = read_path.search(snapshot, np.ones(8), k=40, algorithm=alg)[0]
-                assert "k0" not in {h.key for h in hits}
-                assert hits[0].key == "fresh"
+            hits = read_path.search(snapshot, np.ones(8), k=40, algorithm="hnsw")[0]
+        assert "k0" not in {h.key for h in hits}
+        assert hits[0].key == "fresh"
 
     def test_in_place_rebuild_with_the_same_layout_refits(self, tmp_path):
         directory = tmp_path / "ix"
         serving = {"index": self._index(directory, seed=0)}
-        read_path = self._read_path(lambda: serving["index"])
-        first = self._searchers(read_path)
+        read_path = ReadPath(lambda: serving["index"], hnsw_params={"M": 8})
+        first = self._searcher(read_path)
         rebuilt = self._index(directory, seed=1, overwrite=True)
         # Same directory, layout and generation: only the content differs.
         assert rebuilt.generation == serving["index"].generation
         serving["index"] = rebuilt
         read_path.snapshots.refresh()
-        second = self._searchers(read_path)
-        assert all(second[alg] is not first[alg] for alg in self.ALGORITHMS)
-        query = rebuilt.get("k5")
+        assert self._searcher(read_path) is not first
         with read_path.snapshots.pin() as snapshot:
-            for alg in self.ALGORITHMS:
-                hit = read_path.search(snapshot, query, k=1, algorithm=alg)[0][0]
-                assert (hit.key, round(hit.score, 6)) == ("k5", 1.0)
+            hit = read_path.search(snapshot, rebuilt.get("k5"), k=1, algorithm="hnsw")[0][0]
+        assert (hit.key, round(hit.score, 6)) == ("k5", 1.0)

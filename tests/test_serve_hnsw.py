@@ -5,14 +5,13 @@ rather than a handful of fixtures:
 
 * **Recall floor** — graph search with a generous beam recovers (nearly)
   the exact top-k across dims, corpus sizes and kind filters, and on a
-  3000-row clustered corpus it reaches 0.95 and stays within 0.02 of IVF.
+  3000-row clustered corpus it reaches 0.95.
 * **Deterministic rebuild** — two fits with the same seed over the same
   index produce bit-identical structures (``structure_digest``), the
   property the hot-swap story and the fault-injection suite lean on.
-* **Staleness parity with IVF** — the read path refits an HNSW graph
-  exactly when it refits an IVF searcher, for every index mutation pattern
-  (append, remove, supersede, compact): freshness is one content-fingerprint
-  rule, not a per-algorithm check.
+* **Staleness** — the read path refits the HNSW graph after every index
+  mutation pattern (append, remove, supersede, compact) and reuses it on
+  an unchanged snapshot: freshness is one content-fingerprint rule.
 
 Plus the persistence contract (``TestPersistence``): a ``save``d graph
 ``load``s back bit-identically (same ``structure_digest``), ``attach``
@@ -32,7 +31,6 @@ from repro.serve import (
     EmbeddingIndex,
     HNSWSearcher,
     IndexFormatError,
-    IVFSearcher,
     ReadPath,
     exact_topk,
     recall_at_k,
@@ -70,7 +68,7 @@ def build_scale_corpus(
 
 
 class TestRecallFloor:
-    def test_hnsw_beats_recall_floor_and_ivf_on_clustered_corpus(self, tmp_path):
+    def test_hnsw_meets_recall_floor_on_clustered_corpus(self, tmp_path):
         corpus = build_scale_corpus(3000, 32, clusters=256, seed=5, noise=0.9)
         queries = build_scale_corpus(40, 32, clusters=256, seed=6, noise=0.9)
         index = EmbeddingIndex.create(tmp_path / "guard", dim=32, shard_size=1024)
@@ -79,13 +77,7 @@ class TestRecallFloor:
 
         hnsw = HNSWSearcher(M=12, ef_construction=64, ef_search=48, seed=0).fit(index)
         hnsw_recall = recall_at_k(exact, hnsw.search(queries, k=10), k=10)
-        ivf = IVFSearcher(num_centroids=48, nprobe=4, seed=0).fit(index)
-        ivf_recall = recall_at_k(exact, ivf.search(queries, k=10), k=10)
-
         assert hnsw_recall >= 0.95, f"HNSW recall@10 {hnsw_recall} below floor"
-        assert hnsw_recall >= ivf_recall - 0.02, (
-            f"HNSW recall {hnsw_recall} should match/beat IVF nprobe=4 {ivf_recall}"
-        )
 
     @settings(
         max_examples=12,
@@ -191,33 +183,28 @@ class TestDeterministicRebuild:
         assert (hit.key, round(hit.score, 9)) == (first_key, 1.0)
 
 
-class TestStalenessParityWithIVF:
-    """The read path's one freshness rule, seen from both algorithms."""
+class TestStaleness:
+    """The read path's one freshness rule, seen from the HNSW cache."""
 
     @pytest.fixture()
-    def pair(self, tmp_path):
+    def fitted(self, tmp_path):
         index = _corpus_index(tmp_path, 60, 12, seed=2)
-        read_path = ReadPath(
-            lambda: index,
-            ivf_params={"num_centroids": 8, "nprobe": 4, "seed": 0},
-            hnsw_params={"M": 8, "seed": 0},
-        )
+        read_path = ReadPath(lambda: index, hnsw_params={"M": 8, "seed": 0})
         with read_path.snapshots.pin() as snapshot:
-            hnsw = read_path.searcher(snapshot, "hnsw")
-            ivf = read_path.searcher(snapshot, "ivf")
-        return index, read_path, hnsw, ivf
+            hnsw = read_path.searcher(snapshot)
+        return index, read_path, hnsw
 
     @staticmethod
-    def _stale(read_path, fitted) -> dict:
-        """Per algorithm: would the read path refit instead of reusing ``fitted``?"""
+    def _stale(read_path, fitted) -> bool:
+        """Would the read path refit instead of reusing ``fitted``?"""
         read_path.snapshots.refresh()
         with read_path.snapshots.pin() as snapshot:
-            return {alg: read_path.searcher(snapshot, alg) is not fitted[alg] for alg in fitted}
+            return read_path.searcher(snapshot) is not fitted
 
-    def test_fresh_fit_is_not_stale(self, pair):
-        index, read_path, hnsw, ivf = pair
-        assert self._stale(read_path, {"hnsw": hnsw, "ivf": ivf}) == {"hnsw": False, "ivf": False}
-        assert read_path.stats()["hnsw_refits"] == read_path.stats()["ivf_refits"] == 1
+    def test_fresh_fit_is_not_stale(self, fitted):
+        index, read_path, hnsw = fitted
+        assert not self._stale(read_path, hnsw)
+        assert read_path.stats()["hnsw_refits"] == 1
 
     @pytest.mark.parametrize(
         "mutate",
@@ -229,36 +216,59 @@ class TestStalenessParityWithIVF:
         ],
         ids=["append", "remove", "supersede", "compact"],
     )
-    def test_every_mutation_marks_both_stale(self, pair, mutate):
-        index, read_path, hnsw, ivf = pair
+    def test_every_mutation_marks_it_stale(self, fitted, mutate):
+        index, read_path, hnsw = fitted
         mutate(index)
-        assert self._stale(read_path, {"hnsw": hnsw, "ivf": ivf}) == {"hnsw": True, "ivf": True}
+        assert self._stale(read_path, hnsw)
 
-    def test_unfitted_searchers_report_stale(self, tmp_path):
+    def test_unfitted_searcher_reports_stale(self, tmp_path):
         index = _corpus_index(tmp_path, 60, 12, seed=2)
         read_path = ReadPath(lambda: index)
-        assert read_path.cached("hnsw") is None and read_path.cached("ivf") is None
+        assert read_path.cached() is None
         with read_path.snapshots.pin() as snapshot:
-            read_path.searcher(snapshot, "hnsw")
-            read_path.searcher(snapshot, "ivf")
-        assert read_path.stats()["hnsw_refits"] == read_path.stats()["ivf_refits"] == 1
+            read_path.searcher(snapshot)
+        assert read_path.stats()["hnsw_refits"] == 1
 
     def test_refit_keeps_tuning_and_untuned_kinds_inherit_it(self, tmp_path):
         index = _corpus_index(tmp_path, 60, 12, seed=2, kinds=("cone", "circuit"))
-        read_path = ReadPath(lambda: index, ivf_params={"num_centroids": 8, "nprobe": 4})
+        read_path = ReadPath(lambda: index)
         with read_path.snapshots.pin() as snapshot:
-            tuned = read_path.fit(snapshot, "hnsw", kind="cone", M=6, ef_search=20, seed=3)
-            untuned = read_path.searcher(snapshot, "hnsw", kind="circuit")
+            tuned = read_path.fit(snapshot, kind="cone", M=6, ef_search=20, seed=3)
+            untuned = read_path.searcher(snapshot, kind="circuit")
         index.add(["extra"], np.ones((1, 12)), kinds="cone")
         read_path.snapshots.refresh()
         with read_path.snapshots.pin() as snapshot:
-            refitted = read_path.searcher(snapshot, "hnsw", kind="cone")
-            ivf = read_path.searcher(snapshot, "ivf", kind="cone")
+            refitted = read_path.searcher(snapshot, kind="cone")
         assert refitted is not tuned and refitted.is_fitted
         for searcher in (refitted, untuned):
             assert (searcher.M, searcher.ef_search, searcher.seed) == (6, 20, 3)
         assert (untuned.kind, refitted.kind) == ("circuit", "cone")
-        assert (ivf.num_centroids, ivf.nprobe) == (8, 4)
+
+
+class TestFit:
+    def test_fit_skips_tombstoned_and_superseded_rows(self, tmp_path):
+        rng = np.random.default_rng(4)
+        index = EmbeddingIndex.create(tmp_path / "idx", dim=8, shard_size=4)
+        stale = rng.normal(size=8)
+        index.add(["dup", "gone", "live"],
+                  np.vstack([stale, rng.normal(size=8), rng.normal(size=8)]))
+        index.save()
+        index.add(["dup"], -stale[None, :])   # supersede
+        index.remove(["gone"])                # tombstone
+        searcher = HNSWSearcher(M=4, seed=0).fit(index)
+        hits = searcher.search(stale, k=5)[0]
+        by_key = {hit.key: hit.score for hit in hits}
+        assert set(by_key) == {"dup", "live"}
+        assert by_key["dup"] == pytest.approx(-1.0, abs=1e-6)  # live vector, not stale
+
+    def test_search_before_fit_raises(self):
+        with pytest.raises(RuntimeError):
+            HNSWSearcher().search(np.zeros(4), k=1)
+
+    def test_fit_empty_index_raises(self, tmp_path):
+        index = EmbeddingIndex.create(tmp_path / "empty", dim=4)
+        with pytest.raises(ValueError, match="empty"):
+            HNSWSearcher().fit(index)
 
 
 class TestPersistence:

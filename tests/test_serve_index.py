@@ -59,6 +59,28 @@ class TestCreateOpen:
         with pytest.raises(IndexFormatError):
             EmbeddingIndex.open(tmp_path / "idx")
 
+    def test_create_takes_no_metric_and_the_manifest_says_cosine(self, tmp_path):
+        with pytest.raises(TypeError):
+            EmbeddingIndex.create(tmp_path / "l2", dim=4, metric="l2")
+        index = EmbeddingIndex.create(tmp_path / "idx", dim=4)
+        index.save()
+        manifest = json.loads((tmp_path / "idx" / "manifest.json").read_text())
+        assert manifest["metric"] == "cosine"
+        assert index.stats()["metric"] == "cosine"
+
+    def test_open_other_metric_raises(self, tmp_path):
+        index = EmbeddingIndex.create(tmp_path / "idx", dim=4)
+        index.save()
+        manifest_path = tmp_path / "idx" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["metric"] = "l2"
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(IndexFormatError, match="metric 'l2'"):
+            EmbeddingIndex.open(tmp_path / "idx")
+        del manifest["metric"]  # manifests that never named one are cosine
+        manifest_path.write_text(json.dumps(manifest))
+        assert EmbeddingIndex.open(tmp_path / "idx").stats()["metric"] == "cosine"
+
     def test_fingerprint_mismatch_warns_but_opens(self, tmp_path):
         index = EmbeddingIndex.create(tmp_path / "idx", dim=4, fingerprints={"model": "old"})
         index.save()
@@ -339,6 +361,21 @@ class TestStats:
         assert stats["dim"] == 4
         assert stats["kinds"] == {"circuit": 1, "cone": 2}
         assert stats["payload_bytes"] > 0
+
+    def test_kind_counts_sum_to_entries_after_supersede_and_remove(self, tmp_path):
+        index = EmbeddingIndex.create(tmp_path / "idx", dim=4, shard_size=2)
+        index.add(["n0", "n1"], make_vectors(2, 4), kinds="cone")
+        index.add(["c0"], make_vectors(1, 4, seed=1), kinds="circuit")
+        index.save()
+        index.add(["n0"], make_vectors(1, 4, seed=2), kinds="cone")  # supersede
+        stats = index.stats()
+        assert stats["kinds"] == {"cone": 2, "circuit": 1}
+        assert sum(stats["kinds"].values()) == stats["entries"] == 3
+        index.remove(["n1"])
+        index.save()
+        stats = EmbeddingIndex.open(tmp_path / "idx").stats()
+        assert stats["kinds"] == {"cone": 1, "circuit": 1}
+        assert sum(stats["kinds"].values()) == stats["entries"] == 2
 
     def test_invalid_construction(self, tmp_path):
         with pytest.raises(ValueError):

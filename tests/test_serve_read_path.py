@@ -121,7 +121,7 @@ class TestServiceReadPath:
     def test_persisted_sidecar_is_served_without_refitting(
         self, small_model, service, cones
     ):
-        fitted = service.fit_searcher(algorithm="hnsw", kind=CONE_KIND, M=8, persist=True)
+        fitted = service.fit_searcher(kind=CONE_KIND, M=8, persist=True)
         query = small_model.pad_to_index_dim(small_model.encode_batch([cones[0]])[0])
         expected = fitted.search(query[None, :], k=3)[0]
         directory = service.index.directory
@@ -154,11 +154,11 @@ class TestServiceReadPath:
         assert first.content_fingerprint() == second.content_fingerprint()
 
         with NetTAGService(small_model, index=first, max_latency_ms=1.0) as service:
-            service.query(rows["b"][3], "vector", k=1, algorithm="ivf")
+            service.query(rows["b"][3], "vector", k=1, algorithm="hnsw")
             service.swap_index(second)
-            hits = service.query(rows["b"][3], "vector", k=1, algorithm="ivf")
+            hits = service.query(rows["b"][3], "vector", k=1, algorithm="hnsw")
             counters = service.stats()["read_path"]
-        assert counters["ivf_refits"] == 2
+        assert counters["hnsw_refits"] == 2
         assert hits[0].key == "k3"
         assert hits[0].score == pytest.approx(1.0)
 
@@ -204,7 +204,7 @@ class TestServiceReadPath:
             batches = service.stats()["scheduler"]["batches"]
             exact = [service.submit_query(cone, CONE_KIND, k=2) for cone in cones]
             failing = service.submit_query(cones[0], CONE_KIND, to_kind=CIRCUIT_KIND,
-                                           algorithm="ivf")
+                                           algorithm="hnsw")
             encode = service.submit_cone(cones[1])
             with pytest.raises(ValueError, match="empty"):
                 failing.result(timeout=60)
@@ -216,7 +216,7 @@ class TestServiceReadPath:
         assert stats["failed"] == 1
         assert stats["submitted"] == stats["completed"] + stats["failed"]
 
-    @pytest.mark.parametrize("algorithm", ["exact", "ivf"])
+    @pytest.mark.parametrize("algorithm", ["exact", "hnsw"])
     def test_query_encodes_run_on_the_service_backend(
         self, small_model, cones, tmp_path, monkeypatch, algorithm
     ):
@@ -237,6 +237,18 @@ class TestServiceReadPath:
                 hits = service.query(cones[0], CONE_KIND, k=2, algorithm=algorithm)
         assert hits
         assert seen == ["fast"]
+
+    def test_ivf_is_not_an_algorithm(self, small_model, service):
+        vector = np.zeros(small_model.index_dim)
+        vector[0] = 1.0
+        with pytest.raises(ValueError, match="'exact', 'hnsw'"):
+            service.query(vector, "vector", k=1, algorithm="ivf")
+        with service.read_path.snapshots.pin() as snapshot, pytest.raises(ValueError):
+            service.read_path.search(snapshot, vector, k=1, algorithm="ivf")
+        service.index.save()
+        with ReadReplica(service.index.directory, watch=False) as replica:
+            with pytest.raises(ValueError, match="'exact', 'hnsw'"):
+                replica.query(vector, k=1, algorithm="ivf")
 
     def test_vector_query_equals_exact_topk(self, small_model, service, cones):
         vector = small_model.pad_to_index_dim(small_model.encode_batch([cones[0]])[0])

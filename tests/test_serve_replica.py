@@ -396,13 +396,13 @@ class TestReplicaPool:
 
     def test_unpinned_queries_reach_every_worker(self, tmp_path):
         # Spreading un-pinned queries over the workers is what lets N
-        # replicas serve more than one: each worker fits its own IVF
-        # searcher on the first approximate query it answers.
+        # replicas serve more than one: with no sidecar, each worker fits
+        # its own HNSW graph on the first approximate query it answers.
         directory = tmp_path / "ix"
         _build_index(directory, n=64, seed=10)
         queries = np.random.default_rng(11).normal(size=(2, DIM))
         with ReplicaPool(directory, num_replicas=2, watch=False,
-                         ivf_params={"num_centroids": 4}) as pool:
+                         hnsw_params={"M": 8, "seed": 0}) as pool:
             for _ in range(2):
-                pool.query(queries, k=3, algorithm="ivf")
-            assert [s["ivf_refits"] for s in pool.stats()] == [1, 1]
+                pool.query(queries, k=3, algorithm="hnsw")
+            assert [s["hnsw_refits"] for s in pool.stats()] == [1, 1]

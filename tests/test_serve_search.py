@@ -1,11 +1,11 @@
-"""Tests for exact and IVF-approximate cosine retrieval (repro.serve.search)."""
+"""Tests for exact cosine retrieval and recall@k (repro.serve.search)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.serve import EmbeddingIndex, IVFSearcher, ReadPath, exact_topk, recall_at_k
+from repro.serve import EmbeddingIndex, ReadPath, exact_topk, recall_at_k
 
 
 def brute_force_topk(matrix: np.ndarray, query: np.ndarray, k: int) -> list:
@@ -92,113 +92,6 @@ class TestExactTopK:
             exact_topk(index, np.zeros(12), k=0)
         with pytest.raises(ValueError, match="dimension"):
             exact_topk(index, np.zeros(5), k=1)
-
-
-class TestIVFSearcher:
-    def make_clustered_index(self, tmp_path, clusters=8, per_cluster=25, dim=16):
-        rng = np.random.default_rng(3)
-        centers = rng.normal(size=(clusters, dim)) * 4.0
-        vectors = np.concatenate(
-            [center + rng.normal(size=(per_cluster, dim)) * 0.3 for center in centers]
-        )
-        index = EmbeddingIndex.create(tmp_path / "ivf", dim=dim, shard_size=64)
-        index.add([f"k{i}" for i in range(len(vectors))], vectors)
-        index.save()
-        return index, vectors
-
-    def test_recall_on_clustered_corpus(self, tmp_path):
-        index, vectors = self.make_clustered_index(tmp_path)
-        searcher = IVFSearcher(num_centroids=16, nprobe=6, seed=0).fit(index)
-        rng = np.random.default_rng(11)
-        queries = vectors[rng.choice(len(vectors), size=20, replace=False)] + 0.05
-        exact = exact_topk(index, queries, k=10)
-        approx = searcher.search(queries, k=10)
-        assert recall_at_k(exact, approx, k=10) >= 0.9
-
-    def test_full_probe_equals_exact(self, tmp_path):
-        index, vectors = self.make_clustered_index(tmp_path, clusters=4, per_cluster=10)
-        searcher = IVFSearcher(num_centroids=4, nprobe=4, seed=0).fit(index)
-        queries = vectors[:5]
-        exact = exact_topk(index, queries, k=5)
-        approx = searcher.search(queries, k=5)
-        assert recall_at_k(exact, approx, k=5) == 1.0
-
-    def test_deterministic_given_seed(self, tmp_path):
-        index, vectors = self.make_clustered_index(tmp_path, clusters=4, per_cluster=10)
-        a = IVFSearcher(num_centroids=4, nprobe=2, seed=5).fit(index)
-        b = IVFSearcher(num_centroids=4, nprobe=2, seed=5).fit(index)
-        queries = vectors[:3]
-        for hits_a, hits_b in zip(a.search(queries, k=4), b.search(queries, k=4)):
-            assert [h.key for h in hits_a] == [h.key for h in hits_b]
-
-    # Freshness belongs to ReadPath: a cached searcher is reused iff the
-    # snapshot's (directory, content fingerprint) is the one it was fitted on.
-    @staticmethod
-    def _refits_after(index, mutate) -> bool:
-        read_path = ReadPath(lambda: index, ivf_params={"num_centroids": 2, "seed": 0})
-        with read_path.snapshots.pin() as snapshot:
-            fitted = read_path.searcher(snapshot, "ivf")
-            assert read_path.searcher(snapshot, "ivf") is fitted
-        mutate(index)
-        read_path.snapshots.refresh()
-        with read_path.snapshots.pin() as snapshot:
-            return read_path.searcher(snapshot, "ivf") is not fitted
-
-    def test_needs_refit_after_index_growth(self, tmp_path):
-        index, _ = self.make_clustered_index(tmp_path, clusters=2, per_cluster=5)
-        extra = np.random.default_rng(0).normal(size=(1, 16))
-        assert self._refits_after(index, lambda ix: ix.add(["extra"], extra))
-
-    def test_needs_refit_after_count_neutral_mutation(self, tmp_path):
-        """Remove one key + add another (len unchanged) must invalidate."""
-        index, _ = self.make_clustered_index(tmp_path, clusters=2, per_cluster=5)
-        before = len(index)
-        fresh = np.random.default_rng(1).normal(size=(1, 16))
-
-        def swap_one(ix):
-            ix.remove(["k0"])
-            ix.add(["fresh"], fresh)
-
-        assert self._refits_after(index, swap_one)
-        assert len(index) == before
-
-    def test_needs_refit_after_vector_update(self, tmp_path):
-        """Re-adding an existing key with a new vector must invalidate."""
-        index, vectors = self.make_clustered_index(tmp_path, clusters=2, per_cluster=5)
-        assert self._refits_after(index, lambda ix: ix.add(["k0"], -vectors[0][None, :]))
-        assert len(index) == len(vectors)
-
-    def test_fit_skips_tombstoned_and_superseded_rows(self, tmp_path):
-        rng = np.random.default_rng(4)
-        index = EmbeddingIndex.create(tmp_path / "idx", dim=8, shard_size=4)
-        stale = rng.normal(size=8)
-        index.add(["dup", "gone", "live"], np.vstack([stale, rng.normal(size=8), rng.normal(size=8)]))
-        index.save()
-        index.add(["dup"], -stale[None, :])   # supersede
-        index.remove(["gone"])                # tombstone
-        searcher = IVFSearcher(num_centroids=1, nprobe=1, seed=0).fit(index)
-        hits = searcher.search(stale, k=5)[0]
-        by_key = {hit.key: hit.score for hit in hits}
-        assert "gone" not in by_key
-        assert by_key["dup"] == pytest.approx(-1.0, abs=1e-6)  # live vector, not stale
-
-    def test_search_before_fit_raises(self):
-        with pytest.raises(RuntimeError):
-            IVFSearcher().search(np.zeros(4), k=1)
-
-    def test_fit_empty_index_raises(self, tmp_path):
-        index = EmbeddingIndex.create(tmp_path / "empty", dim=4)
-        with pytest.raises(ValueError):
-            IVFSearcher().fit(index)
-
-    def test_kind_scoped_searcher(self, tmp_path):
-        rng = np.random.default_rng(2)
-        index = EmbeddingIndex.create(tmp_path / "idx", dim=8)
-        index.add(["c0", "c1", "c2"], rng.normal(size=(3, 8)), kinds="circuit")
-        index.add(["n0", "n1", "n2"], rng.normal(size=(3, 8)), kinds="cone")
-        searcher = IVFSearcher(num_centroids=2, nprobe=2, seed=0, kind="cone").fit(index)
-        hits = searcher.search(rng.normal(size=8), k=6)[0]
-        assert {hit.key for hit in hits} <= {"n0", "n1", "n2"}
 
 
 class TestRecallAtK:

@@ -107,8 +107,8 @@ class TestQueries:
 
     def test_approximate_query_finds_self(self, served, corpus):
         cone = extract_register_cones(corpus[1])[0]
-        served.fit_searcher(num_centroids=4, nprobe=4, kind=CONE_KIND)
-        hits = served.query(cone, CONE_KIND, k=3, algorithm="ivf")
+        served.fit_searcher(M=8, ef_search=32, kind=CONE_KIND)
+        hits = served.query(cone, CONE_KIND, k=3, algorithm="hnsw")
         by_key = {hit.key: hit.score for hit in hits}
         assert by_key[cone_key(corpus[1].name, cone.register_name)] == pytest.approx(
             1.0, abs=1e-5
@@ -126,9 +126,9 @@ class TestQueries:
     def test_approximate_query_does_not_leak_other_kinds(self, served, corpus):
         # A searcher fitted over BOTH namespaces (kind=None) must not be
         # reused for a cone-scoped query — the service refits kind-scoped.
-        served.fit_searcher(num_centroids=4, nprobe=4, kind=None)
+        served.fit_searcher(M=8, kind=None)
         cone = extract_register_cones(corpus[0])[0]
-        hits = served.query(cone, CONE_KIND, k=8, algorithm="ivf")
+        hits = served.query(cone, CONE_KIND, k=8, algorithm="hnsw")
         assert hits
         assert all(hit.kind == CONE_KIND for hit in hits)
 
@@ -230,18 +230,18 @@ class TestConcurrentServing:
         self, small_model, corpus, tmp_path
     ):
         # A brand-new kind (no circuit searcher fitted before) inherits the
-        # tuning of the most recently fitted searcher of that algorithm.
+        # tuning of the most recently fitted searcher.
         index = NetTAGService.create_index(small_model, tmp_path / "inherit")
         with NetTAGService(small_model, index=index, max_latency_ms=1.0) as service:
             service.add_netlists(corpus)
-            service.fit_searcher(num_centroids=6, nprobe=5, kind=None)
-            assert service.read_path.cached("ivf", CIRCUIT_KIND) is None
+            service.fit_searcher(M=6, ef_search=20, kind=None)
+            assert service.read_path.cached(CIRCUIT_KIND) is None
             service.query(corpus[0], CIRCUIT_KIND, to_kind=CIRCUIT_KIND, k=2,
-                          algorithm="ivf")  # forces a kind fit
-            searcher = service.read_path.cached("ivf", CIRCUIT_KIND)
+                          algorithm="hnsw")  # forces a kind fit
+            searcher = service.read_path.cached(CIRCUIT_KIND)
             assert searcher.kind == CIRCUIT_KIND
-            assert searcher.num_centroids == 6
-            assert searcher.nprobe == 5
+            assert searcher.M == 6
+            assert searcher.ef_search == 20
 
     def test_per_kind_searcher_tuning_is_independent(self, small_model, corpus, tmp_path):
         # An explicitly tuned kind keeps its parameters even after another
@@ -250,17 +250,17 @@ class TestConcurrentServing:
         index = NetTAGService.create_index(small_model, tmp_path / "per-kind")
         with NetTAGService(small_model, index=index, max_latency_ms=1.0) as service:
             service.add_netlists(corpus)
-            service.fit_searcher(num_centroids=8, nprobe=3, kind=CONE_KIND)
-            service.fit_searcher(num_centroids=2, nprobe=1, kind=CIRCUIT_KIND)
+            service.fit_searcher(M=8, ef_search=30, kind=CONE_KIND)
+            service.fit_searcher(M=4, ef_search=10, kind=CIRCUIT_KIND)
             cone = extract_register_cones(corpus[0])[0]
-            service.query(cone, CONE_KIND, k=2, algorithm="ivf")
-            fitted = service.read_path.cached("ivf", CONE_KIND)
-            assert (fitted.num_centroids, fitted.nprobe) == (8, 3)
-            service.add_cones("tuning_probe", [cone])  # generation moves: refit
-            service.query(cone, CONE_KIND, k=2, algorithm="ivf")
-            refitted = service.read_path.cached("ivf", CONE_KIND)
+            service.query(cone, CONE_KIND, k=2, algorithm="hnsw")
+            fitted = service.read_path.cached(CONE_KIND)
+            assert (fitted.M, fitted.ef_search) == (8, 30)
+            service.add_cones("tuning_probe", [cone])  # content moves: refit
+            service.query(cone, CONE_KIND, k=2, algorithm="hnsw")
+            refitted = service.read_path.cached(CONE_KIND)
             assert refitted is not fitted
-            assert (refitted.num_centroids, refitted.nprobe) == (8, 3)
+            assert (refitted.M, refitted.ef_search) == (8, 30)
 
 
 class TestPipelineIndexStage:
