@@ -221,6 +221,32 @@ class TestStaleness:
         mutate(index)
         assert self._stale(read_path, hnsw)
 
+    @pytest.mark.parametrize("mutation", ["append", "remove", "supersede", "count_neutral"])
+    def test_refitted_graph_serves_the_mutated_rows(self, fitted, mutation):
+        """A refit is not only a new object: it searches the live rows."""
+        index, read_path, _ = fitted
+        before = len(index)
+        moved = np.random.default_rng(21).normal(size=(1, 12))
+        if mutation in ("remove", "count_neutral"):
+            index.remove(["k0"])
+        if mutation in ("append", "count_neutral"):
+            index.add(["fresh"], moved, kinds="cone")
+        if mutation == "supersede":
+            index.add(["k1"], moved, kinds="cone")
+        expected_len = {"append": before + 1, "remove": before - 1}.get(mutation, before)
+        assert len(index) == expected_len
+        read_path.snapshots.refresh()
+        with read_path.snapshots.pin() as snapshot:
+            rows = read_path.searcher(snapshot).search(moved, k=len(index))[0]
+        keys = [hit.key for hit in rows]
+        assert len(keys) == len(set(keys)) == expected_len
+        if mutation in ("remove", "count_neutral"):
+            assert "k0" not in keys
+        if mutation != "remove":
+            top = rows[0]
+            assert top.key == ("k1" if mutation == "supersede" else "fresh")
+            assert top.score == pytest.approx(1.0, abs=1e-6)
+
     def test_unfitted_searcher_reports_stale(self, tmp_path):
         index = _corpus_index(tmp_path, 60, 12, seed=2)
         read_path = ReadPath(lambda: index)
@@ -269,6 +295,35 @@ class TestFit:
         index = EmbeddingIndex.create(tmp_path / "empty", dim=4)
         with pytest.raises(ValueError, match="empty"):
             HNSWSearcher().fit(index)
+
+
+    def test_full_beam_equals_exact(self, tmp_path):
+        """With ``ef_search`` above the row count the beam reaches every row."""
+        index = _corpus_index(tmp_path, 40, 16, seed=13)
+        searcher = HNSWSearcher(M=4, ef_search=64, seed=0).fit(index)
+        queries = np.random.default_rng(14).normal(size=(5, 16))
+        exact = exact_topk(index, queries, k=5)
+        assert recall_at_k(exact, searcher.search(queries, k=5), k=5) == 1.0
+
+    def test_kind_scoped_graph_holds_every_row_of_its_kind(self, tmp_path):
+        rng = np.random.default_rng(2)
+        index = EmbeddingIndex.create(tmp_path / "idx", dim=8)
+        index.add(["c0", "c1", "c2"], rng.normal(size=(3, 8)), kinds="circuit")
+        index.add(["n0", "n1", "n2"], rng.normal(size=(3, 8)), kinds="cone")
+        searcher = HNSWSearcher(M=4, seed=0, kind="cone").fit(index)
+        hits = searcher.search(rng.normal(size=8), k=6)[0]
+        assert sorted(hit.key for hit in hits) == ["n0", "n1", "n2"]
+
+    def test_recall_on_small_clustered_corpus_at_default_tuning(self, tmp_path):
+        rng = np.random.default_rng(3)
+        centers = rng.normal(size=(8, 16)) * 4.0
+        vectors = np.concatenate([c + rng.normal(size=(25, 16)) * 0.3 for c in centers])
+        index = EmbeddingIndex.create(tmp_path / "idx", dim=16, shard_size=64)
+        index.add([f"k{i}" for i in range(len(vectors))], vectors)
+        queries = vectors[rng.choice(len(vectors), size=20, replace=False)] + 0.05
+        exact = exact_topk(index, queries, k=10)
+        approx = HNSWSearcher(seed=0).fit(index).search(queries, k=10)
+        assert recall_at_k(exact, approx, k=10) >= 0.9
 
 
 class TestPersistence:
