@@ -20,6 +20,8 @@ from typing import Dict, Optional, Tuple
 # run's latencies are unreliable.  Where no busy share can be sampled, the
 # 1-minute load average per core is held against the same fraction.
 LOADED_THRESHOLD = 0.5
+# Seconds between the two /proc/stat samples behind the busy share.
+_BUSY_SAMPLE_S = 0.5
 
 
 def _cpu_times() -> Optional[Tuple[int, int]]:
@@ -38,8 +40,8 @@ def _cpu_times() -> Optional[Tuple[int, int]]:
     return total - sum(ticks[3:5]), total
 
 
-def sample_busy_share(interval: float = 0.5) -> Optional[float]:
-    """The share of all cores' time spent busy over ``interval`` seconds.
+def sample_busy_share() -> Optional[float]:
+    """The share of all cores' time spent busy over ``_BUSY_SAMPLE_S`` seconds.
 
     Unlike the 1-minute load average, two samples half a second apart do not
     carry the load of a benchmark run that has just finished.  ``None`` when
@@ -48,7 +50,7 @@ def sample_busy_share(interval: float = 0.5) -> Optional[float]:
     first = _cpu_times()
     if first is None:
         return None
-    time.sleep(interval)
+    time.sleep(_BUSY_SAMPLE_S)
     second = _cpu_times()
     if second is None or second[1] <= first[1]:
         return None

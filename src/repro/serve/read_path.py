@@ -3,14 +3,16 @@
 :class:`~repro.serve.service.NetTAGService` and
 :class:`~repro.serve.replica.ReadReplica` both own one :class:`ReadPath`:
 the snapshot manager, one HNSW searcher cache, the sidecar ladder and one
-:meth:`ReadPath.search`.  It alone decides when a searcher is refitted,
-with which tuning, and which keys a query excludes; the searchers in
-:mod:`repro.serve.search` only fit a pinned snapshot and search it.
+:meth:`ReadPath.search`.  It alone decides when a searcher is refitted
+and with which tuning, and :func:`search_excluding` alone decides which
+keys a query excludes; the searchers in :mod:`repro.serve.search` only fit
+a pinned snapshot and search it.
 """
 
 from __future__ import annotations
 
 import threading
+from functools import partial
 from typing import Callable, Collection, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,6 +29,35 @@ _HNSW_TUNING = ("M", "ef_construction", "ef_search", "seed")
 def _fitted_on(snapshot: ReadSnapshot) -> Tuple:
     """What a cached searcher must have been fitted on to serve ``snapshot``."""
     return (snapshot.directory, snapshot.content_fingerprint())
+
+
+def search_excluding(
+    run: Callable[[int], List[List[SearchHit]]],
+    k: int,
+    exclude_keys: Optional[Sequence[Collection[str]]] = None,
+) -> List[List[SearchHit]]:
+    """Top-k per query row of ``run(fetch)``, minus each row's excluded keys.
+
+    ``exclude_keys`` holds one key collection per query row: no row of an
+    excluded key surfaces for that query, in any kind.  The one place keys
+    are excluded, for every algorithm: it over-fetches, filters, cuts to
+    ``k`` and doubles the fetch while a full page filtered below ``k``.
+    """
+    if not exclude_keys or not any(exclude_keys):
+        return run(k)
+    if any(isinstance(keys, str) for keys in exclude_keys):
+        raise TypeError("exclude_keys holds one key collection per query row")
+    excluded = [set(keys) for keys in exclude_keys]
+    fetch = k + max(map(len, excluded))
+    while True:
+        rows = run(fetch)
+        kept = [
+            [hit for hit in row if hit.key not in drop][:k]
+            for row, drop in zip(rows, excluded, strict=True)
+        ]
+        if all(len(hits) == k or len(row) < fetch for hits, row in zip(kept, rows)):
+            return kept
+        fetch *= 2
 
 
 class ReadPath:
@@ -70,39 +101,15 @@ class ReadPath:
         algorithm: str = "exact",
         exclude_keys: Optional[Sequence[Collection[str]]] = None,
     ) -> List[List[SearchHit]]:
-        """Top-k per query row on ``snapshot``; ``"exact"`` touches no cache.
-
-        ``exclude_keys`` holds one collection of keys per query row: no row
-        of an excluded key surfaces for that query, in any kind.  This is
-        the one place keys are excluded, for every algorithm: it over-fetches,
-        filters and cuts to ``k``, and fetches twice as many again while a
-        full page filtered below ``k`` (one key may hold a row per kind).
-        """
+        """Top-k per query row on ``snapshot``, minus each row's
+        ``exclude_keys`` (:func:`search_excluding`); ``"exact"`` touches no cache."""
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
         if algorithm == "exact":
-            def run(fetch: int) -> List[List[SearchHit]]:
-                return exact_topk(snapshot, queries, k=fetch, kind=kind)
+            run = partial(exact_topk, snapshot, queries, kind=kind)
         else:
-            searcher = self.searcher(snapshot, kind)
-
-            def run(fetch: int) -> List[List[SearchHit]]:
-                return searcher.search(queries, k=fetch)
-        if not exclude_keys or not any(exclude_keys):
-            return run(k)
-        if any(isinstance(keys, str) for keys in exclude_keys):
-            raise TypeError("exclude_keys holds one key collection per query row")
-        excluded = [set(keys) for keys in exclude_keys]
-        fetch = k + max(map(len, excluded))
-        while True:
-            rows = run(fetch)
-            kept = [
-                [hit for hit in row if hit.key not in drop][:k]
-                for row, drop in zip(rows, excluded, strict=True)
-            ]
-            if all(len(hits) == k or len(row) < fetch for hits, row in zip(kept, rows)):
-                return kept
-            fetch *= 2
+            run = partial(self.searcher(snapshot, kind).search, queries)
+        return search_excluding(run, k, exclude_keys)
 
     def searcher(self, snapshot: ReadSnapshot, kind: Optional[str] = None) -> HNSWSearcher:
         """The cached HNSW searcher for ``kind``, rebuilt when stale.

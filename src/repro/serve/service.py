@@ -20,19 +20,19 @@ zero-padded up to it (see :meth:`NetTAG.pad_to_index_dim`).
 
 from __future__ import annotations
 
-import contextlib
 import threading
 from concurrent.futures import Future
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..netlist import extract_register_cones
 from ..nn import use_backend
 from .index import EmbeddingIndex
-from .read_path import ALGORITHMS, ReadPath
+from .read_path import ALGORITHMS, ReadPath, search_excluding
 from .scheduler import BatchScheduler
-from .search import HNSWSearcher, SearchHit, live_blocks
+from .search import HNSWSearcher, SearchHit, exact_topk, live_blocks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a core<->serve cycle
     from ..core.nettag import CircuitEmbedding, NetTAG
@@ -52,14 +52,18 @@ QUERY_SOURCES = (VECTOR_KIND,) + INDEX_KINDS
 
 
 class QuerySpec(NamedTuple):
-    """One retrieval request as it rides the scheduler (``("query", spec)``)."""
+    """One retrieval request as it rides the scheduler (``("query", spec)``).
+
+    ``searcher``: ``None`` (exact search at flush), the HNSW graph fitted at
+    submission, or the error that fit raised; the flush never fits a graph.
+    """
 
     from_kind: str
     item: object
     to_kind: Optional[str]
     k: int
     exclude_keys: Tuple[str, ...]
-    algorithm: str
+    searcher: Union[None, HNSWSearcher, Exception]
 
 
 def cone_key(netlist_name: str, register_name: str) -> str:
@@ -226,12 +230,12 @@ class NetTAGService:
 
         Each source kind gets one batched encoder pass under the model lock
         and the service backend (cone encodes and cone queries share one
-        ``encode_batch``).  The queries then search one pinned snapshot,
-        outside the lock, one search per ``(algorithm, k, to_kind)`` group,
-        each request with its own exclusions.  A failing search group fails
-        only its own requests.  Approximate searchers are normally fitted
-        before submission (see :meth:`submit_query`); one is refitted here
-        only when the index changed in between.
+        ``encode_batch``).  The queries then search outside the lock, one
+        search per ``(searcher, k, to_kind)`` group, each request with its
+        own exclusions: exact groups search one pinned snapshot and HNSW
+        groups the graph fitted at submission (see :meth:`submit_query`), so
+        a write landing before the flush never makes the worker refit.  A
+        failing search group fails only its own requests.
         """
         results: List[object] = [None] * len(requests)
         by_source: Dict[str, List[int]] = {}
@@ -250,19 +254,21 @@ class NetTAGService:
                         else:
                             vector = value.graph_embedding if from_kind == CIRCUIT_KIND else value
                             vectors[position] = self.model.pad_to_index_dim(vector)
-        groups: Dict[Tuple[str, int, Optional[str]], List[int]] = {}
+        groups: Dict[Tuple[object, int, Optional[str]], List[int]] = {}
         for position in vectors:
             spec = requests[position][1]
-            groups.setdefault((spec.algorithm, spec.k, spec.to_kind), []).append(position)
+            groups.setdefault((spec.searcher, spec.k, spec.to_kind), []).append(position)
         if groups:
             with self._pin_current() as snapshot:
-                for (algorithm, k, to_kind), positions in groups.items():
+                for (searcher, k, to_kind), positions in groups.items():
+                    queries = np.stack([vectors[p] for p in positions])
+                    excluded = [requests[p][1].exclude_keys for p in positions]
                     try:
-                        hits = self.read_path.search(
-                            snapshot, np.stack([vectors[p] for p in positions]),
-                            k=k, kind=to_kind, algorithm=algorithm,
-                            exclude_keys=[requests[p][1].exclude_keys for p in positions],
-                        )
+                        if isinstance(searcher, Exception):
+                            raise searcher
+                        run = (partial(exact_topk, snapshot, queries, kind=to_kind)
+                               if searcher is None else partial(searcher.search, queries))
+                        hits = search_excluding(run, k, excluded)
                     except Exception as error:  # noqa: BLE001 - fails this group only
                         hits = [error] * len(positions)
                     for position, row in zip(positions, hits):
@@ -317,9 +323,9 @@ class NetTAGService:
         ``to_kind`` is the namespace searched (``None`` searches every kind)
         and ``algorithm`` is ``"exact"`` or ``"hnsw"`` (see
         :class:`ReadPath`).  Invalid requests are rejected here, on the
-        caller thread, and an approximate searcher that needs a (re)fit is
-        fitted here too, before submission, so no co-flushed request waits
-        behind the fit.
+        caller thread.  An HNSW query is answered from the graph the read
+        path serves for the index at submission, fitted here if it needs a
+        (re)fit, so no co-flushed request waits behind a fit.
         """
         self._require_index()
         if from_kind not in QUERY_SOURCES:
@@ -343,12 +349,15 @@ class NetTAGService:
                     f"the attached cross-modal encoder has no {from_kind!r} "
                     "encoder/projection (the index was built without that modality)"
                 )
+        searcher: Union[None, HNSWSearcher, Exception] = None
         if algorithm != "exact":
-            # A fit that fails here (an empty kind) fails again in the flush,
-            # which reports it on this request's future.
-            with self._pin_current() as snapshot, contextlib.suppress(Exception):
-                self.read_path.searcher(snapshot, to_kind)
-        spec = QuerySpec(from_kind, item, to_kind, int(k), tuple(exclude_keys or ()), algorithm)
+            # A failed fit (an empty kind) is reported on this request's future.
+            with self._pin_current() as snapshot:
+                try:
+                    searcher = self.read_path.searcher(snapshot, to_kind)
+                except Exception as error:  # noqa: BLE001 - reported on the future
+                    searcher = error
+        spec = QuerySpec(from_kind, item, to_kind, int(k), tuple(exclude_keys or ()), searcher)
         return self._scheduler.submit(("query", spec))
 
     def query(

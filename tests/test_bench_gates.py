@@ -52,8 +52,11 @@ class TestHostSnapshot:
 
     def test_busy_share_is_a_fraction_of_cpu_time(self, monkeypatch):
         samples = iter([(100, 1000), (160, 1200)])  # (busy, total) ticks
+        slept = []
         monkeypatch.setattr(host, "_cpu_times", lambda: next(samples))
-        assert host.sample_busy_share(interval=0) == pytest.approx(0.3)
+        monkeypatch.setattr(host.time, "sleep", slept.append)
+        assert host.sample_busy_share() == pytest.approx(0.3)
+        assert slept == [host._BUSY_SAMPLE_S]
 
     def test_describe_host_warns_when_loaded(self):
         quiet = {"cpu_count": 4, "loadavg": {"1m": 0.1, "5m": 0.1, "15m": 0.1}, "loaded": False}

@@ -4,8 +4,9 @@ Covers what the service and the replicas now share: the content
 fingerprint the searcher cache keys on (including an in-place rebuild with
 an identical shard layout) and the index directory it pairs with, the
 HNSW sidecar ladder as seen from the service, searcher fits kept out of
-the scheduler flush, per-group failure isolation inside one flush, and the
-service backend applying to every encode a query triggers.
+the scheduler flush (also when a write lands before it), per-group
+failure isolation inside one flush, and the service backend applying to
+every encode a query triggers.
 """
 
 from __future__ import annotations
@@ -190,6 +191,43 @@ class TestServiceReadPath:
             approximate.join(timeout=60)
         assert exact[0].score == pytest.approx(1.0)
         assert outcome["hits"][0].score == pytest.approx(1.0)
+
+    def test_a_write_before_the_flush_never_refits_in_the_worker(
+        self, small_model, netlist, cones, tmp_path, monkeypatch
+    ):
+        index = NetTAGService.create_index(small_model, tmp_path / "write-race")
+        # Two requests fill a batch and the deadline is far off: the HNSW
+        # query stays queued while the write lands, then shares one flush
+        # with the exact query.
+        with NetTAGService(
+            small_model, index=index, max_batch_size=2, max_latency_ms=60_000.0
+        ) as service:
+            service.add_netlists([netlist])
+            service.fit_searcher(kind=CONE_KIND)
+            batches = service.stats()["scheduler"]["batches"]
+            fitted_on_threads = []
+            original = HNSWSearcher.fit
+
+            def recording_fit(searcher, snapshot):
+                fitted_on_threads.append(threading.current_thread().name)
+                return original(searcher, snapshot)
+
+            monkeypatch.setattr(HNSWSearcher, "fit", recording_fit)
+            approximate = service.submit_query(cones[0], CONE_KIND, k=5, algorithm="hnsw")
+            service.add_cones("late", cones[:1])
+            exact = service.submit_query(cones[0], CONE_KIND, k=5)
+            exact_keys = {hit.key for hit in exact.result(timeout=60)}
+            approximate_keys = {hit.key for hit in approximate.result(timeout=60)}
+            stats = service.stats()
+        assert fitted_on_threads == []
+        assert stats["read_path"]["hnsw_refits"] == 0
+        assert stats["scheduler"]["batches"] == batches + 1
+        # The exact query reads the index at the flush; the HNSW query reads
+        # the graph it was submitted against, fitted before the write.
+        late = f"late::{cones[0].register_name}"
+        assert late in exact_keys
+        assert late not in approximate_keys
+        assert f"{netlist.name}::{cones[0].register_name}" in approximate_keys
 
     def test_a_failing_search_group_fails_only_its_own_requests(
         self, small_model, cones, tmp_path
